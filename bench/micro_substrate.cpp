@@ -4,13 +4,11 @@
 // observability layer's hot-path costs (span record, histogram, traced vs.
 // untraced cache read — the tracer must stay under a few percent here).
 //
-// The work-stealing engine section at the bottom carries the PR 7
-// acceptance numbers: multi-producer submit throughput through the new
-// AsyncEngine vs. the old single-mutex BoundedQueue architecture, plus the
-// lock-free substrates (Chase–Lev deque, MPMC ring, FixedFunction) in
-// isolation. A custom main() captures every run and, with --json=PATH,
-// writes the compact BENCH_substrate.json the CI perf-delta report diffs
-// against bench/baseline/.
+// The engine section at the bottom measures multi-producer submit
+// throughput and queue residency through the AsyncEngine, plus the
+// FixedFunction task storage in isolation. A custom main() captures every
+// run and, with --json=PATH, writes the compact BENCH_substrate.json the CI
+// perf-delta report diffs against bench/baseline/.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -271,14 +269,13 @@ void BM_CacheReadHitNoVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheReadHitNoVerify);
 
-// --- work-stealing engine substrates (PR 7) ---------------------------------
+// --- async engine ------------------------------------------------------------
 
-constexpr int kPoolWorkers = 8;       // the acceptance point: 8-worker pool
+constexpr int kPoolWorkers = 8;
 constexpr int kTasksPerProducer = 2000;
 
-/// P external producers pushing no-op tasks through the new engine's MPMC
-/// injection ring into an 8-worker steal pool, measured submit -> executed.
-/// The ≥2x acceptance pairs this against BM_MutexQueueSubmitMPMC below.
+/// P external producers pushing no-op tasks through the engine's one FIFO
+/// queue into an 8-worker pool, measured submit -> executed.
 void BM_EngineSubmitMPMC(benchmark::State& state) {
   const int producers = static_cast<int>(state.range(0));
   semplar::AsyncEngine engine(kPoolWorkers, 1024);
@@ -308,48 +305,6 @@ void BM_EngineSubmitMPMC(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSubmitMPMC)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-/// The architecture this PR replaced: one BoundedQueue (single mutex +
-/// condvar) feeding 8 consumer threads — every submit and every dequeue
-/// serializes on the same lock. Same task count, same producers, same
-/// wait-for-all shape as the engine bench above.
-void BM_MutexQueueSubmitMPMC(benchmark::State& state) {
-  const int producers = static_cast<int>(state.range(0));
-  using Fn = std::function<std::size_t()>;
-  BoundedQueue<Fn> q(1024);
-  std::atomic<std::size_t> ran{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kPoolWorkers);
-  for (int w = 0; w < kPoolWorkers; ++w) {
-    workers.emplace_back([&] {
-      while (auto fn = q.pop()) (*fn)();
-    });
-  }
-  for (auto _ : state) {
-    const std::size_t before = ran.load();
-    std::vector<std::thread> ps;
-    ps.reserve(static_cast<std::size_t>(producers));
-    for (int p = 0; p < producers; ++p) {
-      ps.emplace_back([&] {
-        for (int i = 0; i < kTasksPerProducer; ++i) {
-          q.push([&ran]() -> std::size_t {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            return 0;
-          });
-        }
-      });
-    }
-    for (auto& t : ps) t.join();
-    const std::size_t want =
-        before + static_cast<std::size_t>(producers) * kTasksPerProducer;
-    while (ran.load() < want) std::this_thread::yield();
-  }
-  q.close();
-  for (auto& t : workers) t.join();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          producers * kTasksPerProducer);
-}
-BENCHMARK(BM_MutexQueueSubmitMPMC)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 /// Queue residency through the engine: burst-submit with a tracer attached,
 /// then fold every kTask span's (dequeue - enqueue) into an obs histogram.
 /// Mean/p99 surface as counters so the JSON baseline records them.
@@ -377,67 +332,6 @@ void BM_EngineQueueResidency(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(bursts) * 512);
 }
 BENCHMARK(BM_EngineQueueResidency)->UseRealTime();
-
-/// Owner-side Chase–Lev hot path: LIFO push/pop with no contention — the
-/// cost a worker pays to run its own continuations.
-void BM_DequeOwnerPushPop(benchmark::State& state) {
-  WorkStealingDeque<int*> d;
-  int v = 7;
-  int* out = nullptr;
-  for (auto _ : state) {
-    d.push(&v);
-    benchmark::DoNotOptimize(d.pop(out));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DequeOwnerPushPop);
-
-/// Sustained steal pressure: one owner pushes, two thieves drain from the
-/// top. Items/sec counts every task that crossed the deque.
-void BM_DequeStealThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    WorkStealingDeque<int*> d;
-    static int slot = 1;
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> stolen{0};
-    std::vector<std::thread> thieves;
-    for (int t = 0; t < 2; ++t) {
-      thieves.emplace_back([&] {
-        int* out = nullptr;
-        while (!stop.load(std::memory_order_acquire)) {
-          if (d.steal(out) == WorkStealingDeque<int*>::Steal::kSuccess)
-            stolen.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    std::size_t popped = 0;
-    int* got = nullptr;
-    for (int i = 0; i < 20000; ++i) {
-      d.push(&slot);
-      if ((i & 7) == 0 && d.pop(got)) ++popped;
-    }
-    while (d.pop(got)) ++popped;
-    while (popped + stolen.load() < 20000) std::this_thread::yield();
-    stop.store(true, std::memory_order_release);
-    for (auto& t : thieves) t.join();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 20000);
-}
-BENCHMARK(BM_DequeStealThroughput)->UseRealTime();
-
-/// Vyukov MPMC injection ring, uncontended: the per-submit cost floor for
-/// external producers.
-void BM_MpmcRingPushPop(benchmark::State& state) {
-  MpmcRing<int*> ring(1024);
-  int v = 7;
-  int* out = nullptr;
-  for (auto _ : state) {
-    ring.try_push(&v);
-    benchmark::DoNotOptimize(ring.try_pop(out));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MpmcRingPushPop);
 
 /// Task-storage cost: FixedFunction stores a 48-byte capture inline
 /// (no heap), std::function of the same capture allocates. Pairing these

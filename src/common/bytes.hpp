@@ -123,7 +123,7 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// FNV-1a 64-bit hash; used as the frame checksum and for test fingerprints.
+/// FNV-1a 64-bit hash; used for test fingerprints.
 inline std::uint64_t fnv1a(ByteSpan b) {
   std::uint64_t h = 14695981039346656037ULL;
   for (char c : b) {

@@ -1,9 +1,9 @@
-// Small-buffer move-only callable: the engine's allocation-free task
-// storage. A lambda whose captures fit InlineBytes is stored in place — a
-// submit() does not touch the heap — and larger callables degrade to one
-// heap allocation (never a silent compile break at a call site). Unlike
-// std::function it supports move-only callables, which lets tasks own
-// their buffers instead of sharing them.
+// Small-buffer move-only callable: the engine's task storage. A lambda
+// whose captures fit InlineBytes is stored in place — no allocation of its
+// own — and larger callables degrade to one heap allocation (never a
+// silent compile break at a call site). Unlike std::function it supports
+// move-only callables, which lets tasks own their buffers instead of
+// sharing them.
 #pragma once
 
 #include <cstddef>

@@ -1,27 +1,13 @@
-// The queueing substrates of the async engine.
-//
-// BoundedQueue is the paper's Fig. 2 queue: a single mutex + two condition
-// variables, FIFO, blocking. It remains the simple/correct reference (and
-// the baseline the work-stealing benchmarks compare against).
-//
-// WorkStealingDeque and MpmcRing are the lock-free replacements the
-// multi-worker engine runs on: a Chase–Lev per-worker deque (owner pushes
-// and pops LIFO at the bottom, thieves steal FIFO from the top) and a
-// Vyukov-style bounded MPMC ring used as the external-producer injection
-// queue. Both store trivially copyable elements only (the engine stores
-// pooled Item pointers), which is what makes the racy slot reads of the
-// classic algorithms well-defined.
+// The paper's Fig. 2 queue: a single mutex + two condition variables, FIFO,
+// blocking. The broker's accept backlog, the generic async fallback and the
+// compression pipeline run on it.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <type_traits>
-#include <vector>
 
 namespace remio {
 
@@ -118,239 +104,6 @@ class BoundedQueue {
   std::deque<T> q_;
   std::size_t capacity_;
   bool closed_ = false;
-};
-
-/// Chase–Lev work-stealing deque (Chase & Lev 2005, with the C++11 memory
-/// orderings of Lê et al. 2013). Single owner thread calls push()/pop()
-/// at the bottom (LIFO — freshest task first, best cache locality); any
-/// number of thief threads call steal() at the top (FIFO — oldest task
-/// first). Grows by doubling; retired rings are kept on a chain until
-/// destruction because an in-flight steal may still be reading one.
-///
-/// T must be trivially copyable (slots are read racily and a failed-CAS
-/// copy is discarded). On top of the paper's orderings, the slot store in
-/// push() is `release` and the slot load in steal() is `acquire`: the
-/// algorithm gets its happens-before through top_/bottom_, but the pointee
-/// of a stolen T* needs an edge TSan can see without standalone fences.
-template <class T>
-class WorkStealingDeque {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "WorkStealingDeque requires trivially copyable elements");
-
- public:
-  enum class Steal { kSuccess, kEmpty, kLost };
-
-  explicit WorkStealingDeque(std::size_t initial_capacity = 256)
-      : ring_(new Ring(round_up_pow2(initial_capacity < 2 ? 2
-                                                          : initial_capacity),
-                       nullptr)) {}
-
-  WorkStealingDeque(const WorkStealingDeque&) = delete;
-  WorkStealingDeque& operator=(const WorkStealingDeque&) = delete;
-
-  ~WorkStealingDeque() {
-    Ring* r = ring_.load(std::memory_order_relaxed);
-    while (r != nullptr) {
-      Ring* prev = r->prev;
-      delete r;
-      r = prev;
-    }
-  }
-
-  /// Owner only. Never blocks, never fails (grows when full).
-  void push(T v) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Ring* r = ring_.load(std::memory_order_relaxed);
-    if (b - t >= r->cap) r = grow(r, t, b);
-    r->slot(b).store(v, std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_release);
-  }
-
-  /// Owner only. LIFO; false when empty (or the last item was stolen).
-  ///
-  /// The two rollback stores below are `release`, not relaxed: a thief
-  /// whose bottom_ load reads one of them must inherit visibility of the
-  /// owner's last ring_.store(release) in grow() (since C++20 a plain
-  /// later store does not extend a release sequence, so a relaxed
-  /// rollback would let the thief index a grown ring through the retired
-  /// one and steal a recycled slot).
-  bool pop(T& out) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Ring* r = ring_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    if (t > b) {  // empty: undo the reservation
-      bottom_.store(b + 1, std::memory_order_release);
-      return false;
-    }
-    if (t == b) {
-      // Last element: race the thieves for it via the top CAS.
-      const bool won = top_.compare_exchange_strong(
-          t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
-      bottom_.store(b + 1, std::memory_order_release);
-      if (!won) return false;
-      out = r->slot(b).load(std::memory_order_relaxed);
-      return true;
-    }
-    out = r->slot(b).load(std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Any thread. FIFO from the top. kLost = lost a race (the caller moves
-  /// on to the next victim rather than spinning here).
-  Steal steal(T& out) {
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return Steal::kEmpty;
-    Ring* r = ring_.load(std::memory_order_acquire);
-    // Read before the CAS: a successful CAS is what licenses the copy (the
-    // owner cannot recycle slot t until top_ moves past it).
-    const T v = r->slot(t).load(std::memory_order_acquire);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed))
-      return Steal::kLost;
-    out = v;
-    return Steal::kSuccess;
-  }
-
-  /// Racy size estimate (monitoring / park decisions only).
-  std::size_t size_approx() const {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
-  bool empty_approx() const { return size_approx() == 0; }
-
- private:
-  struct Ring {
-    Ring(std::int64_t capacity, Ring* previous)
-        : cap(capacity), mask(capacity - 1), slots(new std::atomic<T>[capacity]),
-          prev(previous) {}
-    ~Ring() { delete[] slots; }
-    std::atomic<T>& slot(std::int64_t i) { return slots[i & mask]; }
-
-    const std::int64_t cap;
-    const std::int64_t mask;
-    std::atomic<T>* const slots;
-    Ring* const prev;  // retired predecessor, freed by the deque dtor
-  };
-
-  static std::size_t round_up_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
-
-  Ring* grow(Ring* old, std::int64_t t, std::int64_t b) {
-    Ring* bigger = new Ring(old->cap * 2, old);
-    for (std::int64_t i = t; i < b; ++i)
-      bigger->slot(i).store(old->slot(i).load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    ring_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  alignas(64) std::atomic<std::int64_t> top_{0};
-  alignas(64) std::atomic<std::int64_t> bottom_{0};
-  alignas(64) std::atomic<Ring*> ring_;
-};
-
-/// Vyukov bounded MPMC ring: per-cell sequence numbers, one CAS per
-/// push/pop, no shared lock. This is the engine's injection queue — the
-/// path external producers (compute thread, prefetcher speculation, the
-/// deferred-replay timer) use to hand tasks to the worker pool. FIFO.
-///
-/// try_push can fail spuriously while a preempted consumer still occupies
-/// the cell at the head position even though other cells are free; callers
-/// that must not drop work retry (the engine's blocking submit), callers
-/// that are speculative (try_submit) just report false. The engine gates
-/// logical capacity with its own counter, so the ring is sized with 2x
-/// headroom to make that spurious case vanishingly rare.
-template <class T>
-class MpmcRing {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "MpmcRing requires trivially copyable elements");
-
- public:
-  explicit MpmcRing(std::size_t min_capacity) {
-    std::size_t cap = 2;
-    while (cap < min_capacity) cap <<= 1;
-    cells_.reset(new Cell[cap]);
-    mask_ = cap - 1;
-    for (std::size_t i = 0; i < cap; ++i)
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
-
-  MpmcRing(const MpmcRing&) = delete;
-  MpmcRing& operator=(const MpmcRing&) = delete;
-
-  bool try_push(T v) {
-    Cell* cell;
-    std::size_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->seq.load(std::memory_order_acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos);
-      if (diff == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed))
-          break;
-      } else if (diff < 0) {
-        return false;  // full (or a consumer is still vacating this cell)
-      } else {
-        pos = head_.load(std::memory_order_relaxed);
-      }
-    }
-    cell->val = v;
-    cell->seq.store(pos + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool try_pop(T& out) {
-    Cell* cell;
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->seq.load(std::memory_order_acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos + 1);
-      if (diff == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed))
-          break;
-      } else if (diff < 0) {
-        return false;  // empty (or a producer is still filling this cell)
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
-      }
-    }
-    out = cell->val;
-    cell->seq.store(pos + mask_ + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Pops up to `max` items in FIFO order; returns how many landed in out.
-  std::size_t try_pop_batch(T* out, std::size_t max) {
-    std::size_t n = 0;
-    while (n < max && try_pop(out[n])) ++n;
-    return n;
-  }
-
-  std::size_t capacity() const { return mask_ + 1; }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> seq;
-    T val;
-  };
-
-  std::unique_ptr<Cell[]> cells_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  // producers
-  alignas(64) std::atomic<std::size_t> tail_{0};  // consumers
 };
 
 }  // namespace remio

@@ -28,7 +28,7 @@ std::size_t encode_frame(const Codec& codec, ByteSpan block, Bytes& out) {
   codec.compress(block, payload);
 
   ByteWriter w(out);
-  w.u32(kFrameMagicV2);
+  w.u32(kFrameMagic);
   w.u8(static_cast<std::uint8_t>(codec_id(codec)));
   w.u32(static_cast<std::uint32_t>(block.size()));
   w.u32(static_cast<std::uint32_t>(payload.size()));
@@ -38,30 +38,21 @@ std::size_t encode_frame(const Codec& codec, ByteSpan block, Bytes& out) {
 }
 
 std::size_t decode_frame(ByteSpan in, Bytes& out) {
-  // Version dispatch on the magic: v2 (CRC32C) is what the encoder writes;
-  // v1 (FNV-1a) keeps every pre-bump object readable. The two headers
-  // differ only in checksum width.
-  if (in.size() < kFrameHeaderSizeV2) throw CodecError("frame: truncated header");
+  if (in.size() < kFrameHeaderSize) throw CodecError("frame: truncated header");
   ByteReader r(in);
-  const std::uint32_t magic = r.u32();
-  if (magic != kFrameMagicV1 && magic != kFrameMagicV2)
-    throw CodecError("frame: bad magic");
-  const bool v1 = magic == kFrameMagicV1;
-  const std::size_t header = v1 ? kFrameHeaderSizeV1 : kFrameHeaderSizeV2;
-  if (in.size() < header) throw CodecError("frame: truncated header");
+  if (r.u32() != kFrameMagic) throw CodecError("frame: bad magic");
   const auto id = static_cast<CodecId>(r.u8());
   const std::uint32_t usize = r.u32();
   const std::uint32_t csize = r.u32();
-  const std::uint64_t checksum = v1 ? r.u64() : r.u32();
+  const std::uint32_t checksum = r.u32();
   if (!r.ok() || r.remaining() < csize) throw CodecError("frame: truncated payload");
 
   const Codec& codec = codec_by_id(id);
   const std::size_t before = out.size();
   codec.decompress(r.rest().subspan(0, csize), out, usize);
-  const ByteSpan produced(out.data() + before, out.size() - before);
-  const std::uint64_t actual = v1 ? fnv1a(produced) : crc32c(produced);
-  if (actual != checksum) throw CodecError("frame: checksum mismatch");
-  return header + csize;
+  if (crc32c(ByteSpan(out.data() + before, out.size() - before)) != checksum)
+    throw CodecError("frame: checksum mismatch");
+  return kFrameHeaderSize + csize;
 }
 
 Bytes decode_frame_stream(ByteSpan in) {

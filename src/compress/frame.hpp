@@ -2,21 +2,11 @@
 // sequence of independently-compressed blocks (the §7.3 1 MB pipeline) can
 // be decoded by streaming through it, with per-frame integrity checking.
 //
-// Current (v2) frame, produced by encode_frame:
-//
 //   frame := "RMF2":u32 codec_id:u8 usize:u32 csize:u32 checksum:u32 payload
 //
 // checksum is CRC32C over the *uncompressed* block — the same algorithm as
 // the wire frames and at-rest block sums (common/checksum.hpp), so one
 // hardware-accelerated implementation covers every integrity domain.
-//
-// Legacy (v1) frame, still decoded for objects written before the bump:
-//
-//   frame := "RMF1":u32 codec_id:u8 usize:u32 csize:u32 checksum:u64 payload
-//
-// with checksum FNV-1a over the uncompressed block. The magic dispatches:
-// decode_frame handles either version transparently, per frame, so a
-// stream may even mix versions (an old object appended to by new code).
 #pragma once
 
 #include <cstdint>
@@ -27,15 +17,8 @@
 
 namespace remio::compress {
 
-constexpr std::uint32_t kFrameMagicV1 = 0x52'4D'46'31;  // "RMF1" (FNV-1a)
-constexpr std::uint32_t kFrameMagicV2 = 0x52'4D'46'32;  // "RMF2" (CRC32C)
-/// The magic encode_frame writes today.
-constexpr std::uint32_t kFrameMagic = kFrameMagicV2;
-/// Header sizes per version (v2 carries a 4-byte CRC where v1 had 8 bytes
-/// of FNV). kFrameHeaderSize is the *current* encoder's.
-constexpr std::size_t kFrameHeaderSizeV1 = 4 + 1 + 4 + 4 + 8;
-constexpr std::size_t kFrameHeaderSizeV2 = 4 + 1 + 4 + 4 + 4;
-constexpr std::size_t kFrameHeaderSize = kFrameHeaderSizeV2;
+constexpr std::uint32_t kFrameMagic = 0x52'4D'46'32;  // "RMF2"
+constexpr std::size_t kFrameHeaderSize = 4 + 1 + 4 + 4 + 4;
 
 enum class CodecId : std::uint8_t { kNull = 0, kLzMini = 1, kRle = 2 };
 

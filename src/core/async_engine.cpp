@@ -1,8 +1,6 @@
 #include "core/async_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,403 +17,192 @@ namespace {
 // a legitimate dequeue time for the first op of a run.
 constexpr double kDequeueUnset = -1.0;
 
-// Hard cap on one injection-queue grab (stack buffer in find_task);
-// Config::Engine::inject_batch is clamped to this.
-constexpr int kInjectBatchMax = 64;
+// The engine whose worker this thread is, so a submit from inside a task
+// (prefetch chains, nested speculation) never waits for queue room — its
+// own worker could be the one that has to make it.
+thread_local const AsyncEngine* tls_engine = nullptr;
 
-// Directly constructed engines bypass Config's validation (config.cpp), so
-// the ctor clamps the tuning knobs to the same ranges. Without this,
-// steal_rounds <= 0 silently disables work stealing (tasks parked in a busy
-// worker's deque wait for that worker) and an absurd spin_polls burns CPU
-// before parking.
-Config::Engine sanitize_tuning(Config::Engine t) {
-  t.steal_rounds = std::clamp(t.steal_rounds, 1, 64);
-  t.inject_batch = std::clamp(t.inject_batch, 1, kInjectBatchMax);
-  t.spin_polls = std::clamp(t.spin_polls, 0, 1 << 20);
-  return t;
-}
-
-// Worker identity, so submissions from a worker thread (prefetch chains,
-// nested speculation) are routed to that worker's own deque instead of the
-// bounded injection queue a worker could deadlock against.
-struct TlsWorker {
-  const void* engine = nullptr;
-  int index = -1;
+// Heap order for the deferred replays: the earliest due at the front.
+constexpr auto kLaterDue = [](const auto& a, const auto& b) {
+  return a.due > b.due;
 };
-thread_local TlsWorker tls_worker;
 
-// Per-worker victim-order randomization; no global RNG state to contend on.
-inline std::uint32_t xorshift32(std::uint32_t& s) {
-  s ^= s << 13;
-  s ^= s >> 17;
-  s ^= s << 5;
-  return s;
+std::exception_ptr shutdown_error() {
+  return std::make_exception_ptr(mpiio::IoError("engine shut down"));
 }
 
 }  // namespace
 
-// One queued task. Lives in pool-recycled storage and travels through the
-// queues as a raw pointer; exactly one of finish()/fail_item() destroys it.
 struct AsyncEngine::Item {
   Task task;
   std::shared_ptr<mpiio::IoRequest::State> state;
   Completion done;
   bool supervised = false;
-  int attempt = 0;      // completed attempts (replay counter)
-  std::uint32_t gen_slot = 0;  // drain-generation slot claimed at dispatch
+  int attempt = 0;         // completed attempts (replay counter)
+  std::uint64_t seq = 0;   // submission order for drain(); kept by replays
   double start_sim = 0.0;  // first submission, for the op deadline
   obs::Span span;
 };
-
-struct AsyncEngine::Worker {
-  WorkStealingDeque<Item*> deque;
-  std::thread thread;
-};
-
-// ---------------------------------------------------------------------------
-// ItemPool
-
-struct AsyncEngine::ItemPool::Node {
-  alignas(alignof(std::max_align_t)) unsigned char storage[sizeof(Item)];
-  std::atomic<std::uint32_t> next{kNil};
-  std::uint32_t self = kNil;  // freelist index; kNil marks a heap fallback
-};
-
-AsyncEngine::ItemPool::~ItemPool() {
-  // Every Item has been destroyed and released by shutdown; heap-fallback
-  // nodes were deleted at release. Only the index blocks remain.
-  const std::size_t nb = block_count_.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < nb; ++i)
-    delete[] blocks_[i].load(std::memory_order_acquire);
-}
-
-AsyncEngine::ItemPool::Node* AsyncEngine::ItemPool::node_at(
-    std::uint32_t idx) const {
-  Node* block = blocks_[idx / kBlockSize].load(std::memory_order_acquire);
-  return block + (idx % kBlockSize);
-}
-
-void* AsyncEngine::ItemPool::alloc() {
-  // Tagged-index Treiber pop: the 32-bit tag in the high half bumps on
-  // every successful CAS, so a slot freed and re-pushed between our head
-  // read and CAS (the ABA case) changes the word and the CAS fails. Nodes
-  // are never returned to the OS before the pool dies, so the speculative
-  // next-read of a node another thread just popped is always safe memory.
-  std::uint64_t h = head_.load(std::memory_order_acquire);
-  while ((h & 0xffffffffull) != kNil) {
-    Node* n = node_at(static_cast<std::uint32_t>(h));
-    const std::uint64_t nh =
-        (((h >> 32) + 1) << 32) | n->next.load(std::memory_order_relaxed);
-    if (head_.compare_exchange_weak(h, nh, std::memory_order_acq_rel,
-                                    std::memory_order_acquire))
-      return n->storage;
-  }
-  return grow();
-}
-
-void* AsyncEngine::ItemPool::grow() {
-  std::lock_guard lk(grow_mu_);
-  // Another thread may have grown (or released) while we waited for the
-  // lock; prefer the freelist over allocating a fresh block.
-  std::uint64_t h = head_.load(std::memory_order_acquire);
-  while ((h & 0xffffffffull) != kNil) {
-    Node* n = node_at(static_cast<std::uint32_t>(h));
-    const std::uint64_t nh =
-        (((h >> 32) + 1) << 32) | n->next.load(std::memory_order_relaxed);
-    if (head_.compare_exchange_weak(h, nh, std::memory_order_acq_rel,
-                                    std::memory_order_acquire))
-      return n->storage;
-  }
-  const std::size_t bi = block_count_.load(std::memory_order_relaxed);
-  if (bi >= kMaxBlocks) {
-    // Index space exhausted (256Ki live items): plain heap, freed on
-    // release instead of recycled.
-    return (new Node())->storage;
-  }
-  Node* block = new Node[kBlockSize];
-  const std::uint32_t base = static_cast<std::uint32_t>(bi * kBlockSize);
-  for (std::size_t i = 0; i < kBlockSize; ++i)
-    block[i].self = base + static_cast<std::uint32_t>(i);
-  blocks_[bi].store(block, std::memory_order_release);
-  block_count_.store(bi + 1, std::memory_order_release);
-  for (std::size_t i = 1; i < kBlockSize; ++i) push_free(&block[i]);
-  return block[0].storage;
-}
-
-void AsyncEngine::ItemPool::release(void* item) {
-  // storage is Node's first member, so the Item pointer IS the Node pointer.
-  Node* n = reinterpret_cast<Node*>(item);
-  if (n->self == kNil) {
-    delete n;
-    return;
-  }
-  push_free(n);
-}
-
-void AsyncEngine::ItemPool::push_free(Node* n) {
-  std::uint64_t h = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    n->next.store(static_cast<std::uint32_t>(h), std::memory_order_relaxed);
-    const std::uint64_t nh = (((h >> 32) + 1) << 32) | n->self;
-    if (head_.compare_exchange_weak(h, nh, std::memory_order_release,
-                                    std::memory_order_relaxed))
-      return;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Engine lifecycle
 
 AsyncEngine::AsyncEngine(int io_threads, std::size_t queue_capacity,
                          Stats* stats, const Config::Retry& retry,
-                         obs::Tracer* tracer, const Config::Engine& tuning)
+                         obs::Tracer* tracer, const Config::Engine&)
     : threads_(io_threads <= 0 ? 1 : io_threads),
       lazy_(io_threads <= 0),
       capacity_(queue_capacity),
-      tuning_(sanitize_tuning(tuning)),
       stats_(stats),
       tracer_(tracer),
       retry_(retry),
-      backoff_(retry, 0xa57eu),
-      // The ring gets 2x headroom over the logical capacity (enforced by
-      // the inject_size_ reservation) so a preempted consumer holding a
-      // cell cannot make try_push fail below capacity. Physically capped:
-      // beyond 64Ki cells more ring buys nothing, the reservation counter
-      // alone bounds occupancy (a >64Ki-deep burst just retries its push).
-      inject_(2 * std::min<std::size_t>(queue_capacity == 0 ? 1 : queue_capacity,
-                                        std::size_t{1} << 16)) {
+      backoff_(retry, 0xa57eu) {
   if (io_threads < 0 || io_threads > 256)
     throw std::invalid_argument("AsyncEngine: io_threads out of range [0, 256]");
   if (queue_capacity == 0)
     throw std::invalid_argument("AsyncEngine: queue_capacity must be > 0");
-  workers_.reserve(static_cast<std::size_t>(threads_));
-  for (int i = 0; i < threads_; ++i)
-    workers_.emplace_back(std::make_unique<Worker>());
-  if (!lazy_) ensure_spawned();
+  if (!lazy_) {
+    std::lock_guard lk(mu_);
+    for (int i = 0; i < threads_; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
+  }
 }
 
 AsyncEngine::~AsyncEngine() { shutdown(); }
 
-void AsyncEngine::ensure_spawned() {
-  // §4.3: in the lazy configuration the first asynchronous call spawns the
-  // worker. The deques already exist (built in the ctor), so steal sweeps
-  // and park predicates never see a half-built pool.
-  std::call_once(spawn_once_, [this] {
-    for (int i = 0; i < threads_; ++i)
-      workers_[static_cast<std::size_t>(i)]->thread =
-          std::thread([this, i] { worker_loop(i); });
-  });
-}
-
 void AsyncEngine::shutdown() {
-  std::lock_guard lk(lifecycle_mu_);
+  std::lock_guard lifecycle(lifecycle_mu_);
   if (shut_down_) return;
   shut_down_ = true;
   {
-    // Stop the replay timer first so nothing re-enters the injection queue
-    // after it closes; the timer fails everything still parked on its way
-    // out (shutdown does not wait out backoffs).
-    std::lock_guard dlk(defer_mu_);
+    // Stop the replay timer first so nothing re-enters the queue after it
+    // closes; the timer fails everything still parked on its way out
+    // (shutdown does not wait out backoffs).
+    std::lock_guard lk(defer_mu_);
     timer_stop_ = true;
-    defer_cv_.notify_all();
   }
+  defer_cv_.notify_all();
   if (timer_.joinable()) timer_.join();
-  closed_.store(true, std::memory_order_seq_cst);
-  // Consume the spawn flag. On a lazy engine that was never used, a later
-  // submit()'s ensure_spawned() must not spawn workers after this shutdown
-  // completed — nobody would join them and Worker's ~thread would
-  // std::terminate on a joinable thread. If an ensure_spawned() is active
-  // right now, call_once blocks until its spawn finishes and the joins
-  // below reap the threads; if we consume the flag first, later
-  // ensure_spawned() calls are no-ops whose call_once synchronization
-  // also publishes the closed_ store above, so their submits fail cleanly.
-  // Ordering matters: consuming *before* closed_ is set would let a racing
-  // submit find the flag spent and the engine still open, stranding its
-  // item in a pool with no workers.
-  std::call_once(spawn_once_, [] {});
-  // Wait out in-flight submitters: each is past its closed-check, so its
-  // push either lands (workers drain it below) or backs out on a full
-  // queue and re-checks closed. After this spin no new item can appear.
-  while (submit_gate_.load(std::memory_order_seq_cst) != 0)
-    std::this_thread::yield();
-  wake_all();
-  for (auto& w : workers_)
-    if (w->thread.joinable()) w->thread.join();
+  {
+    // Once closed, no submit is accepted and no worker is spawned, so
+    // workers_ is final; the workers run what is queued, then exit.
+    std::lock_guard lk(mu_);
+    closed_ = true;
+  }
+  work_cv_.notify_all();
+  space_cv_.notify_all();
+  for (std::thread& w : workers_) w.join();
 }
 
 void AsyncEngine::drain() {
-  // Snapshot barrier over the two-slot generation ledger (see the header).
-  // A global completed-count cannot express "everything enqueued so far":
-  // it also counts tasks submitted after the snapshot, and those could
-  // satisfy the barrier while a slow pre-snapshot task was still running.
-  // Here every pre-snapshot dispatch holds a claim on slot g&1 (or, for a
-  // straggler that raced an earlier flip, on the other slot — which is why
-  // the pre-flip wait comes first), and post-flip dispatches claim only
-  // (g+1)&1, so each wait is bounded by work dispatched before the flip
-  // even against a continuous submit stream.
-  //
-  // A dispatch concurrent with the flip may stamp either generation; both
-  // are safe. Old stamp: we wait for it (conservative). New stamp: its
-  // push had not landed when the flip happened, so it is not "enqueued so
-  // far" and the snapshot owes it nothing.
-  std::lock_guard serial(drain_serial_mu_);  // drains serialize; each bounded
-  const std::uint64_t g = drain_gen_.load(std::memory_order_seq_cst);
-  await_gen_zero((g + 1) & 1);  // stragglers stamped before earlier flips
-  drain_gen_.store(g + 1, std::memory_order_seq_cst);
-  await_gen_zero(g & 1);  // the snapshot generation itself
+  // Every task outstanding now has a sequence number below next_seq_, and
+  // there are exactly outstanding_ of them; retire() counts them down.
+  // Tasks submitted later carry higher numbers and never touch the ticket.
+  std::unique_lock lk(mu_);
+  DrainTicket ticket{next_seq_, outstanding_};
+  if (ticket.remaining == 0) return;
+  drains_.push_back(&ticket);
+  drain_cv_.wait(lk, [&ticket] { return ticket.remaining == 0; });
+  drains_.erase(std::find(drains_.begin(), drains_.end(), &ticket));
 }
 
-void AsyncEngine::await_gen_zero(std::uint32_t slot) {
-  std::unique_lock lk(pending_mu_);
-  drain_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  pending_cv_.wait(lk, [this, slot] {
-    return gen_outstanding_[slot].load(std::memory_order_seq_cst) == 0;
-  });
-  drain_waiters_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void AsyncEngine::task_done(std::uint32_t gen_slot) {
-  // Release the dispatch-time generation claim, then wake any drainer.
-  // seq_cst on the counter/waiter pair mirrors await_gen_zero(): if we
-  // read drain_waiters_ == 0 here, the drainer registered later and its
-  // predicate check (which follows the registration) observes our
-  // decrement — no completion can slip between a drainer's registration
-  // and its first predicate evaluation unnoticed.
-  gen_outstanding_[gen_slot & 1].fetch_sub(1, std::memory_order_seq_cst);
-  if (drain_waiters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard lk(pending_mu_);
-    pending_cv_.notify_all();
+void AsyncEngine::retire(std::uint64_t seq) {
+  bool notify = false;
+  {
+    std::lock_guard lk(mu_);
+    --outstanding_;
+    for (DrainTicket* t : drains_)
+      if (seq < t->seq && --t->remaining == 0) notify = true;
   }
+  if (notify) drain_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
 // Submission
 
-void AsyncEngine::begin_span(Item* item) {
-  if (tracer_ == nullptr) return;
-  item->span.op_id = tracer_->next_op_id();
-  item->span.kind = obs::SpanKind::kTask;
-  item->span.enqueue = simnet::sim_now();
-  item->span.dequeue = kDequeueUnset;
+AsyncEngine::ItemPtr AsyncEngine::make_item(
+    Task task, std::shared_ptr<mpiio::IoRequest::State> state) {
+  auto item = std::make_unique<Item>();
+  item->task = std::move(task);
+  item->state = std::move(state);
+  if (tracer_ != nullptr) {
+    item->span.op_id = tracer_->next_op_id();
+    item->span.kind = obs::SpanKind::kTask;
+    item->span.enqueue = simnet::sim_now();
+    item->span.dequeue = kDequeueUnset;
+  }
+  return item;
 }
 
-bool AsyncEngine::inject(Item* item, bool blocking) {
-  // External producers only (compute thread, prefetcher on a miss path,
-  // replay timer). The submit gate brackets the closed-check-then-push so
-  // shutdown can wait out a push it did not see coming; the inject_size_
-  // reservation enforces the *logical* capacity (the ring itself has
-  // headroom and may spuriously refuse a cell, which just retries).
-  for (;;) {
-    submit_gate_.fetch_add(1, std::memory_order_seq_cst);
-    if (closed_.load(std::memory_order_seq_cst)) {
-      submit_gate_.fetch_sub(1, std::memory_order_release);
+bool AsyncEngine::enqueue(ItemPtr& item, Room room, bool replay) {
+  // Gauge before the push: a worker may pop and decrement the instant the
+  // item lands, and the gauge must not go transiently negative.
+  if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kQueueDepth).add(1);
+  bool wake = false;
+  {
+    std::unique_lock lk(mu_);
+    while (room == Room::kWait && !closed_ && queue_.size() >= capacity_) {
+      ++space_waiters_;
+      space_cv_.wait(lk);
+      --space_waiters_;
+    }
+    if (closed_ || (room == Room::kRefuse && queue_.size() >= capacity_)) {
+      lk.unlock();
+      if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kQueueDepth).add(-1);
       return false;
     }
-    const std::int64_t n = inject_size_.fetch_add(1, std::memory_order_seq_cst);
-    if (n >= static_cast<std::int64_t>(capacity_) || !inject_.try_push(item)) {
-      inject_size_.fetch_sub(1, std::memory_order_relaxed);
-      submit_gate_.fetch_sub(1, std::memory_order_release);
-      if (!blocking) return false;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      continue;
+    // §4.3: in the lazy configuration the first asynchronous call spawns
+    // the worker.
+    if (workers_.empty()) workers_.emplace_back([this] { worker_loop(); });
+    if (!replay) {
+      item->seq = next_seq_++;
+      ++outstanding_;
     }
-    submit_gate_.fetch_sub(1, std::memory_order_release);
-    if (stats_ != nullptr)
-      stats_->note_queue_depth(static_cast<std::uint64_t>(n) + 1);
-    wake_one();
-    return true;
+    queue_.push_back(std::move(item));
+    if (stats_ != nullptr) stats_->note_queue_depth(queue_.size());
+    // Wake an idle worker unless every idle worker already has a wake on
+    // its way; notifying after the unlock spares it an immediate block on
+    // mu_.
+    wake = idle_ > wakes_pending_;
+    if (wake) ++wakes_pending_;
   }
+  if (wake) {
+    if (stats_ != nullptr) stats_->add_wake();
+    work_cv_.notify_one();
+  }
+  return true;
 }
 
-bool AsyncEngine::dispatch(Item* item, bool blocking) {
-  // On success the engine owns the item. On failure (closed, or full in
-  // non-blocking mode) the caller still owns it and must destroy/fail it;
-  // the generation claim and queue-depth gauge taken here are rolled back.
-  // The claim precedes the push: any item visible in a queue is already
-  // counted, so a drain that snapshots after the push waits for it.
-  const std::uint64_t g = drain_gen_.load(std::memory_order_seq_cst);
-  item->gen_slot = static_cast<std::uint32_t>(g & 1);
-  gen_outstanding_[item->gen_slot].fetch_add(1, std::memory_order_seq_cst);
-  // Gauge before the push: a worker may pop and decrement the instant the
-  // item lands, and the gauge must not go transiently negative or
-  // under-report the watermark.
-  if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kQueueDepth).add(1);
-  bool ok;
-  if (tls_worker.engine == this) {
-    // Worker-local submission (prefetch chain): the worker's own deque,
-    // which grows instead of blocking — a worker can never deadlock on its
-    // own backlog. The owner itself drains this deque before exiting, so
-    // no submit gate is needed; capacity only gates the speculative path.
-    Worker& me = *workers_[static_cast<std::size_t>(tls_worker.index)];
-    ok = !closed_.load(std::memory_order_seq_cst) &&
-         (blocking || me.deque.size_approx() < capacity_);
-    if (ok) {
-      if (stats_ != nullptr) stats_->note_queue_depth(me.deque.size_approx() + 1);
-      me.deque.push(item);
-      wake_one();  // a sibling may be parked while we are busy with our task
-    }
-  } else {
-    ok = inject(item, blocking);
+mpiio::IoRequest AsyncEngine::submit_item(Task task, Completion done,
+                                          bool supervised) {
+  mpiio::IoRequest req = mpiio::IoRequest::make();
+  ItemPtr item = make_item(std::move(task), req.state());
+  item->done = std::move(done);
+  item->supervised = supervised;
+  if (supervised) item->start_sim = simnet::sim_now();
+  if (stats_ != nullptr) stats_->add_task();
+  if (!enqueue(item, tls_engine == this ? Room::kIgnore : Room::kWait,
+               /*replay=*/false)) {
+    const auto err = shutdown_error();
+    mpiio::IoRequest::fail(item->state, err);
+    if (item->done) item->done(0, err);
   }
-  if (!ok) {
-    if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kQueueDepth).add(-1);
-    task_done(item->gen_slot);
-  }
-  return ok;
+  return req;
 }
 
 mpiio::IoRequest AsyncEngine::submit(Task task) {
-  ensure_spawned();
-  mpiio::IoRequest req = mpiio::IoRequest::make();
-  Item* item = new (pool_.alloc()) Item();
-  item->task = std::move(task);
-  item->state = req.state();
-  if (stats_ != nullptr) stats_->add_task();
-  begin_span(item);
-  if (!dispatch(item, /*blocking=*/true)) {
-    auto state = item->state;
-    destroy(item);
-    mpiio::IoRequest::fail(
-        state, std::make_exception_ptr(mpiio::IoError("engine shut down")));
-  }
-  return req;
+  return submit_item(std::move(task), {}, /*supervised=*/false);
 }
 
 mpiio::IoRequest AsyncEngine::submit_supervised(Task task, Completion done) {
-  ensure_spawned();
-  mpiio::IoRequest req = mpiio::IoRequest::make();
-  Item* item = new (pool_.alloc()) Item();
-  item->task = std::move(task);
-  item->state = req.state();
-  item->done = std::move(done);
-  item->supervised = true;
-  item->start_sim = simnet::sim_now();
-  if (stats_ != nullptr) stats_->add_task();
-  begin_span(item);
-  if (!dispatch(item, /*blocking=*/true)) {
-    auto state = item->state;
-    auto cb = std::move(item->done);
-    destroy(item);
-    auto err = std::make_exception_ptr(mpiio::IoError("engine shut down"));
-    mpiio::IoRequest::fail(state, err);
-    if (cb) cb(0, err);
-  }
-  return req;
+  return submit_item(std::move(task), std::move(done), /*supervised=*/true);
 }
 
 bool AsyncEngine::try_submit(Task task) {
-  ensure_spawned();
   // A discarded request absorbs the completion, keeping the worker loop
   // oblivious to whether anyone waits.
-  mpiio::IoRequest req = mpiio::IoRequest::make();
-  Item* item = new (pool_.alloc()) Item();
-  item->task = std::move(task);
-  item->state = req.state();
-  begin_span(item);
-  if (!dispatch(item, /*blocking=*/false)) {
-    destroy(item);
-    return false;
-  }
+  ItemPtr item = make_item(std::move(task), mpiio::IoRequest::make().state());
+  if (!enqueue(item, Room::kRefuse, /*replay=*/false)) return false;
   if (stats_ != nullptr) stats_->add_task();
   return true;
 }
@@ -423,100 +210,37 @@ bool AsyncEngine::try_submit(Task task) {
 // ---------------------------------------------------------------------------
 // Workers
 
-void AsyncEngine::worker_loop(int self) {
-  tls_worker = TlsWorker{this, self};
-  std::uint32_t rng_state =
-      0x9e3779b9u ^ (static_cast<std::uint32_t>(self) * 2654435761u + 1u);
+void AsyncEngine::worker_loop() {
+  tls_engine = this;
+  std::unique_lock lk(mu_);
   for (;;) {
-    searching_.fetch_add(1, std::memory_order_seq_cst);
-    Item* item = find_task(self, rng_state);
-    searching_.fetch_sub(1, std::memory_order_seq_cst);
-    if (item != nullptr) {
-      run_item(item);
-      continue;
+    while (queue_.empty() && !closed_) {
+      ++idle_;
+      if (stats_ != nullptr) stats_->add_park();
+      work_cv_.wait(lk);
+      --idle_;
+      if (wakes_pending_ > 0) --wakes_pending_;
     }
-    if (closed_.load(std::memory_order_seq_cst)) {
-      // Exit only once no in-flight submitter can still land an item
-      // (gate drained) and every queue is visibly empty. Approximate deque
-      // reads err conservative for *other* deques — and an item can only
-      // rest in a deque whose owner is still running, so nothing strands.
-      if (submit_gate_.load(std::memory_order_seq_cst) == 0 &&
-          !work_available())
-        break;
-      std::this_thread::yield();
-      continue;
-    }
-    park();
+    if (queue_.empty()) break;  // closed and fully run
+    ItemPtr item = std::move(queue_.front());
+    queue_.pop_front();
+    const bool space = space_waiters_ > 0 && queue_.size() < capacity_;
+    lk.unlock();
+    if (space) space_cv_.notify_one();
+    run_item(std::move(item));
+    lk.lock();
   }
-  tls_worker = TlsWorker{};
+  tls_engine = nullptr;
 }
 
-AsyncEngine::Item* AsyncEngine::find_task(int self, std::uint32_t& rng_state) {
-  Worker& me = *workers_[static_cast<std::size_t>(self)];
-  Item* it = nullptr;
-  // tuning_ is ctor-sanitized: spin_polls >= 0, 1 <= inject_batch <=
-  // kInjectBatchMax, steal_rounds >= 1.
-  for (int poll = 0; poll <= tuning_.spin_polls; ++poll) {
-    // 1. Own deque, LIFO — freshest task, warmest cache.
-    if (me.deque.pop(it)) return it;
-
-    // 2. Injection queue: grab a batch, run the oldest now, park the rest
-    // in our own deque *in reverse* so LIFO pops replay FIFO arrival order
-    // (load-bearing with one worker, where FIFO execution is contractual;
-    // with many it amortizes ring CAS traffic and feeds the thieves).
-    Item* batch[kInjectBatchMax];
-    const auto want = static_cast<std::size_t>(tuning_.inject_batch);
-    const std::size_t n = inject_.try_pop_batch(batch, want);
-    if (n > 0) {
-      inject_size_.fetch_sub(static_cast<std::int64_t>(n),
-                             std::memory_order_relaxed);
-      for (std::size_t i = n; i-- > 1;) me.deque.push(batch[i]);
-      // The surplus is stealable: recruit a sleeper. Forced — our own
-      // presence in searching_ must not suppress the recruitment.
-      if (n > 1) wake_one(/*force=*/true);
-      return batch[0];
-    }
-
-    // 3. Steal sweep, randomized start so thieves don't convoy on one
-    // victim. kLost means we raced someone over a non-empty deque — worth
-    // another sweep; all-empty ends the sweep early.
-    for (int round = 0; round < tuning_.steal_rounds; ++round) {
-      bool contended = false;
-      const int start =
-          threads_ > 1 ? static_cast<int>(xorshift32(rng_state) %
-                                          static_cast<std::uint32_t>(threads_))
-                       : 0;
-      for (int k = 0; k < threads_; ++k) {
-        const int v = (start + k) % threads_;
-        if (v == self) continue;
-        switch (workers_[static_cast<std::size_t>(v)]->deque.steal(it)) {
-          case WorkStealingDeque<Item*>::Steal::kSuccess:
-            if (stats_ != nullptr) stats_->add_steal();
-            return it;
-          case WorkStealingDeque<Item*>::Steal::kLost:
-            contended = true;
-            break;
-          case WorkStealingDeque<Item*>::Steal::kEmpty:
-            break;
-        }
-      }
-      if (!contended) break;
-    }
-  }
-  return nullptr;
-}
-
-void AsyncEngine::run_item(Item* item) {
-  // Touch the sim clock only when someone consumes the timestamps: with
-  // neither stats nor tracer attached, a task executes without any clock
-  // reads on the hot path.
+void AsyncEngine::run_item(ItemPtr item) {
+  // Touch the sim clock only when someone consumes the timestamps.
   const bool timed = stats_ != nullptr || tracer_ != nullptr;
   const double t0 = timed ? simnet::sim_now() : 0.0;
   if (tracer_ != nullptr) {
     tracer_->gauge(obs::GaugeId::kQueueDepth).add(-1);
     // First pickup only: a replayed task keeps its original dequeue so the
-    // span's queue_wait measures the first queue residency. Unassigned is a
-    // negative sentinel, not 0.0 — sim time zero is a legitimate timestamp.
+    // span's queue_wait measures the first queue residency.
     if (item->span.dequeue < 0.0) item->span.dequeue = t0;
   }
   std::size_t n = 0;
@@ -533,119 +257,15 @@ void AsyncEngine::run_item(Item* item) {
   }
   if (stats_ != nullptr) stats_->add_busy(simnet::sim_now() - t0);
   if (err == nullptr)
-    finish(item, n);
+    finish(std::move(item), n);
   else
-    handle_failure(item, err);
-}
-
-bool AsyncEngine::work_available() const {
-  if (inject_size_.load(std::memory_order_seq_cst) > 0) return true;
-  for (const auto& w : workers_)
-    if (!w->deque.empty_approx()) return true;
-  return false;
-}
-
-void AsyncEngine::park() {
-  std::unique_lock lk(park_mu_);
-  // Dekker handshake with wake_one(): we publish sleepers_ > 0, then
-  // re-check the queues; the producer publishes its push, then checks
-  // sleepers_. Both sides are seq_cst (plus fences), so at least one of
-  // them sees the other — a push can never slip between our check and the
-  // wait unnoticed.
-  //
-  // sleepers_ holds *wake tokens*, not a plain sleeper census: a producer
-  // claims (decrements) a token before it notifies, and a woken worker
-  // does NOT decrement on exit. This keeps the producer fast path a single
-  // load while a wake is already in flight — without the claim, the
-  // counter would stay raised from notify until the woken worker actually
-  // runs (on a loaded box, a whole scheduling quantum), and every submit
-  // landing in that window would pay the mutex + notify for nothing.
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (work_available() || closed_.load(std::memory_order_seq_cst)) {
-    // Hand the token back — unless a producer already claimed it, in which
-    // case its notify will hit an empty room (we are headed back to the
-    // scan loop and will find the work ourselves).
-    int s = sleepers_.load(std::memory_order_seq_cst);
-    while (s > 0 &&
-           !sleepers_.compare_exchange_weak(s, s - 1,
-                                            std::memory_order_seq_cst)) {
-    }
-    return;
-  }
-  if (stats_ != nullptr) stats_->add_park();
-  for (;;) {
-    park_cv_.wait(lk);
-    // Claimed-notify exit: the waker consumed our token when it claimed
-    // the wake, so a predicate-true exit must not decrement.
-    if (work_available() || closed_.load(std::memory_order_seq_cst)) return;
-    // Woken but found nothing: the claim that consumed a token was wasted
-    // (a canceling scanner grabbed the item first — its cancel handed back
-    // a token that the producer had already claimed, i.e. effectively
-    // *ours*). We stay parked, so re-register a token; without this the
-    // cancel/claim collision leaves sleepers invisible to wake_one, and
-    // once the count hits zero a full queue wakes nobody (deadlock,
-    // observed on a single-core box).
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (work_available() || closed_.load(std::memory_order_seq_cst)) {
-      // Work raced in between the predicate check and the re-register:
-      // hand the token back (unless already claimed) and go scan.
-      int s = sleepers_.load(std::memory_order_seq_cst);
-      while (s > 0 &&
-             !sleepers_.compare_exchange_weak(s, s - 1,
-                                              std::memory_order_seq_cst)) {
-      }
-      return;
-    }
-  }
-}
-
-void AsyncEngine::wake_one(bool force) {
-  // Producer side of the Dekker pair: the push above this call is already
-  // visible; if no worker has published itself asleep, every worker is
-  // busy or mid-scan and will find the item — skip the mutex entirely.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // Wake throttle: if a worker is mid-scan it will pick the item up (or,
-  // failing that, see it in the park-time re-check that is ordered after
-  // our push — so nothing strands). Waking a second worker just to race it
-  // is wasted futex traffic; a scanner that grabs a surplus batch
-  // force-recruits help itself.
-  if (!force && searching_.load(std::memory_order_seq_cst) > 0) return;
-  int s = sleepers_.load(std::memory_order_seq_cst);
-  for (;;) {
-    if (s <= 0) return;
-    if (sleepers_.compare_exchange_weak(s, s - 1, std::memory_order_seq_cst))
-      break;
-  }
-  if (stats_ != nullptr) stats_->add_wake();
-  // Empty critical section, then notify *unlocked*. A worker between its
-  // queue re-check and its wait() holds park_mu_, so acquiring the lock
-  // serializes us after it: by the time we notify, that worker is either
-  // inside wait() (receives it) or has canceled (saw our push). Notifying
-  // after unlock spares the woken thread an immediate block on a mutex we
-  // would still hold.
-  { std::lock_guard lk(park_mu_); }
-  park_cv_.notify_one();
-}
-
-void AsyncEngine::wake_all() {
-  // Shutdown path: clear every token and wake the whole room. Workers
-  // re-check closed_ under the predicate and exit.
-  sleepers_.store(0, std::memory_order_seq_cst);
-  { std::lock_guard lk(park_mu_); }
-  park_cv_.notify_all();
+    handle_failure(std::move(item), err);
 }
 
 // ---------------------------------------------------------------------------
 // Completion and supervision
 
-void AsyncEngine::destroy(Item* item) {
-  item->~Item();
-  pool_.release(item);
-}
-
-void AsyncEngine::finish(Item* item, std::size_t n) {
+void AsyncEngine::finish(ItemPtr item, std::size_t n) {
   if (tracer_ != nullptr) {
     item->span.bytes = n;
     item->span.wire_end = simnet::sim_now();
@@ -653,12 +273,12 @@ void AsyncEngine::finish(Item* item, std::size_t n) {
   }
   mpiio::IoRequest::complete(item->state, n);
   if (item->done) item->done(n, nullptr);
-  const std::uint32_t slot = item->gen_slot;
-  destroy(item);
-  task_done(slot);
+  const std::uint64_t seq = item->seq;
+  item.reset();  // captures die before a drain() can return
+  retire(seq);
 }
 
-void AsyncEngine::fail_item(Item* item, std::exception_ptr err) {
+void AsyncEngine::fail_item(ItemPtr item, std::exception_ptr err) {
   if (tracer_ != nullptr) {
     // Record the failed task too — the no-orphans invariant (every
     // submitted op has a span after drain) holds on the failure path.
@@ -668,33 +288,34 @@ void AsyncEngine::fail_item(Item* item, std::exception_ptr err) {
   }
   mpiio::IoRequest::fail(item->state, err);
   if (item->done) item->done(0, err);
-  const std::uint32_t slot = item->gen_slot;
-  destroy(item);
-  task_done(slot);
+  const std::uint64_t seq = item->seq;
+  item.reset();
+  retire(seq);
 }
 
-void AsyncEngine::handle_failure(Item* item, std::exception_ptr err) {
+void AsyncEngine::handle_failure(ItemPtr item, std::exception_ptr err) {
   if (!item->supervised || !retry_.enabled()) {
-    fail_item(item, err);
+    fail_item(std::move(item), err);
     return;
   }
   const remio::Status st = remio::status_from_exception(err);
   if (!st.retryable() || item->attempt + 1 >= retry_.max_attempts) {
-    fail_item(item, err);
+    fail_item(std::move(item), err);
     return;
   }
   const double delay = backoff_.delay(item->attempt);
   if (retry_.op_deadline > 0.0 &&
       simnet::sim_now() - item->start_sim + delay > retry_.op_deadline) {
     if (stats_ != nullptr) stats_->add_deadline_expiration();
-    fail_item(item,
+    const std::string msg =
+        "op deadline (" + std::to_string(retry_.op_deadline) +
+        "s sim) exceeded after " + std::to_string(item->attempt + 1) +
+        " attempts: " + st.message();
+    fail_item(std::move(item),
               std::make_exception_ptr(mpiio::IoError(
                   {remio::ErrorDomain::kDeadline, 0, /*retryable=*/false,
                    "supervise"},
-                  "op deadline (" + std::to_string(retry_.op_deadline) +
-                      "s sim) exceeded after " +
-                      std::to_string(item->attempt + 1) + " attempts: " +
-                      st.message())));
+                  msg)));
     return;
   }
   ++item->attempt;
@@ -715,40 +336,35 @@ void AsyncEngine::handle_failure(Item* item, std::exception_ptr err) {
     park.wire_end = now + delay;
     tracer_->record(park);
   }
-  defer(item, now + delay);
+  defer(std::move(item), now + delay);
 }
 
-void AsyncEngine::defer(Item* item, double due) {
+void AsyncEngine::defer(ItemPtr item, double due) {
   std::unique_lock lk(defer_mu_);
   if (timer_stop_) {
     lk.unlock();
-    fail_item(item,
-              std::make_exception_ptr(mpiio::IoError("engine shut down")));
+    fail_item(std::move(item), shutdown_error());
     return;
   }
-  if (!timer_spawned_) {
-    timer_spawned_ = true;
-    timer_ = std::thread([this] { timer_loop(); });
-  }
+  if (!timer_.joinable()) timer_ = std::thread([this] { timer_loop(); });
   if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kDeferredBacklog).add(1);
-  deferred_.push(Deferred{due, item});
+  deferred_.push_back(Deferred{due, std::move(item)});
+  std::push_heap(deferred_.begin(), deferred_.end(), kLaterDue);
   defer_cv_.notify_all();
 }
 
 void AsyncEngine::timer_loop() {
   std::unique_lock lk(defer_mu_);
-  while (true) {
+  for (;;) {
     if (timer_stop_) {
       // Shutdown: fail what is still parked instead of waiting out backoffs.
-      while (!deferred_.empty()) {
-        Item* item = deferred_.top().item;
-        deferred_.pop();
+      std::vector<Deferred> parked = std::move(deferred_);
+      deferred_.clear();
+      lk.unlock();
+      for (Deferred& d : parked) {
         if (tracer_ != nullptr)
           tracer_->gauge(obs::GaugeId::kDeferredBacklog).add(-1);
-        lk.unlock();
-        fail_item(item,
-                  std::make_exception_ptr(mpiio::IoError("engine shut down")));
-        lk.lock();
+        fail_item(std::move(d.item), shutdown_error());
       }
       return;
     }
@@ -756,31 +372,21 @@ void AsyncEngine::timer_loop() {
       defer_cv_.wait(lk);
       continue;
     }
-    const double due = deferred_.top().due;
+    const double due = deferred_.front().due;
     if (simnet::sim_now() < due) {
       defer_cv_.wait_until(lk, simnet::wall_deadline(due));
       continue;
     }
-    Item* item = deferred_.top().item;
-    deferred_.pop();
-    if (tracer_ != nullptr) {
+    std::pop_heap(deferred_.begin(), deferred_.end(), kLaterDue);
+    ItemPtr item = std::move(deferred_.back().item);
+    deferred_.pop_back();
+    if (tracer_ != nullptr)
       tracer_->gauge(obs::GaugeId::kDeferredBacklog).add(-1);
-      tracer_->gauge(obs::GaugeId::kQueueDepth).add(1);
-    }
     lk.unlock();
-    // Back into the injection queue: the replay runs in arrival order with
-    // whatever else is queued, on whichever worker frees up first — often a
-    // different one than the first attempt. The item's generation claim
-    // from its original submission still stands, so drain() keeps waiting.
-    if (!inject(item, /*blocking=*/true)) {
-      // Engine closed under us: roll back the queue-depth gauge and fail
-      // the replay (fail_item records its kTask span, keeping the
-      // no-orphans invariant on this shutdown path too).
-      if (tracer_ != nullptr)
-        tracer_->gauge(obs::GaugeId::kQueueDepth).add(-1);
-      fail_item(item,
-                std::make_exception_ptr(mpiio::IoError("engine shut down")));
-    }
+    // Back into the FIFO behind whatever is queued, without waiting for
+    // room. The item keeps its sequence number, so drain() keeps waiting.
+    if (!enqueue(item, Room::kIgnore, /*replay=*/true))
+      fail_item(std::move(item), shutdown_error());
     lk.lock();
   }
 }

@@ -1,27 +1,13 @@
-// The multi-threaded asynchronous core of SEMPLAR (Fig. 2 / §4.2–4.3),
-// rebuilt as a work-stealing pool. The paper's single FIFO queue + mutex +
-// condvar serialized every submit, dequeue, speculative try_submit and
-// deferred-replay re-enqueue on one lock; here each worker owns a
-// Chase–Lev lock-free deque (owner pushes/pops LIFO at the bottom, thieves
-// steal FIFO from the top) and external producers — the compute thread,
-// the prefetcher, the replay timer — hand tasks through a bounded Vyukov
-// MPMC injection ring. A worker takes its own deque first, then a batch
-// from the injection ring (surplus parked in its deque where siblings can
-// steal it), then sweeps the other workers in randomized order. Idle
-// workers park on a condvar behind an atomic sleeper count, so an idle
-// pool costs nothing and a single submit wakes exactly one worker (§4.3's
-// no-busy-wait requirement, kept). Tasks live in pool-recycled slots and
-// store their callable inline (FixedFunction), so a steady-state submit
-// performs no heap allocation.
-//
-// External submissions retain FIFO arrival order through the injection
-// ring; with one worker (the lazy §7.1 configuration) they also execute
-// in FIFO order, preserving the original engine's observable behaviour.
+// The multi-threaded asynchronous core of SEMPLAR (Fig. 2 / §4.2–4.3): one
+// FIFO queue under a mutex, drained by N dedicated I/O threads that sleep on
+// a condition variable while it is empty (§4.3: no busy wait). Every worker
+// takes the oldest queued task, so tasks start in submission order at any
+// worker count.
 //
 // Supervision (Config::Retry enabled): tasks submitted through
 // submit_supervised() that fail with a *retryable* error (see
 // common/error.hpp) are not failed immediately. They are parked in a
-// deferred min-heap keyed by their backoff due-time and re-injected by a
+// deferred min-heap keyed by their backoff due-time and re-queued by a
 // timer thread when the backoff elapses — workers never sleep on a
 // backoff, so unrelated queued requests keep flowing while a failed one
 // waits out its delay. A replayed task may complete on a different worker
@@ -29,16 +15,15 @@
 // queue residency measured from the first submission.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/fixed_function.hpp"
-#include "common/queue.hpp"
 #include "core/config.hpp"
 #include "core/stats.hpp"
 #include "core/supervisor.hpp"
@@ -50,7 +35,7 @@ namespace remio::semplar {
 class AsyncEngine {
  public:
   /// A task performs one synchronous I/O call and returns bytes moved.
-  /// Stored inline when the captures fit (no heap allocation on submit).
+  /// Stored inline when the captures fit (no separate heap allocation).
   using Task = FixedFunction<std::size_t(), 104>;
   /// Invoked exactly once with the task's *final* outcome — after any
   /// replays — with (bytes, error); error is null on success. Runs on a
@@ -64,21 +49,22 @@ class AsyncEngine {
   /// submit_supervised() tasks. `tracer` (optional) records a kTask span
   /// per task — queue residency through final completion across replays —
   /// plus queue-depth / deferred-backlog gauges and a kBackoff span per
-  /// parked replay. `tuning` carries the steal/batch/park knobs.
+  /// parked replay.
   AsyncEngine(int io_threads, std::size_t queue_capacity,
               Stats* stats = nullptr, const Config::Retry& retry = {},
               obs::Tracer* tracer = nullptr,
-              const Config::Engine& tuning = {});
+              // Unused; perfbench/src/ladder.cpp still passes cfg.engine.
+              const Config::Engine& = {});
   ~AsyncEngine();
 
   AsyncEngine(const AsyncEngine&) = delete;
   AsyncEngine& operator=(const AsyncEngine&) = delete;
 
   /// Enqueues the task; returns the completion handle (MPIO_Wait/Test on
-  /// it). Blocks while the injection queue is at capacity (worker-thread
-  /// callers never block: their submissions land on their own deque, which
-  /// grows). A failed task fails its request on the first error (no
-  /// replay).
+  /// it). Blocks while the queue holds queue_capacity tasks; a submit from
+  /// a worker thread never waits for room, so a task that spawns follow-up
+  /// work cannot deadlock the engine. A failed task fails its request on
+  /// the first error (no replay).
   mpiio::IoRequest submit(Task task);
 
   /// Like submit(), but retryable failures are replayed after a capped,
@@ -101,9 +87,9 @@ class AsyncEngine {
   /// continuous submit stream that never lets the engine go idle.
   void drain();
 
-  /// Stops accepting work, drains, joins. Pending deferred replays are
-  /// failed immediately (shutdown does not wait out backoffs). Idempotent;
-  /// called by dtor.
+  /// Stops accepting work, runs what is queued, joins. Pending deferred
+  /// replays are failed immediately (shutdown does not wait out
+  /// backoffs). Idempotent; called by dtor.
   void shutdown();
 
   /// Effective worker count — always >= 1, resolving the lazy-0
@@ -116,137 +102,74 @@ class AsyncEngine {
   bool lazy() const { return lazy_; }
 
  private:
-  struct Item;   // one queued task + its request state + span (pooled)
-  struct Worker; // worker thread + its Chase–Lev deque
+  struct Item;  // one task + its request state + span
+  using ItemPtr = std::unique_ptr<Item>;
 
-  /// Recycling allocator for Item slots: a lock-free indexed freelist
-  /// (32-bit slot index + 32-bit ABA tag packed in one 64-bit head) over
-  /// append-only node blocks, with a plain-heap fallback once the index
-  /// space is exhausted. Steady-state submits reuse slots without
-  /// touching the heap.
-  class ItemPool {
-   public:
-    ItemPool() = default;
-    ~ItemPool();
-    ItemPool(const ItemPool&) = delete;
-    ItemPool& operator=(const ItemPool&) = delete;
-
-    /// Raw storage for one Item; caller placement-news into it.
-    void* alloc();
-    /// Caller has already run ~Item().
-    void release(void* item);
-
-   private:
-    struct Node;
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr std::size_t kBlockSize = 256;
-    static constexpr std::size_t kMaxBlocks = 1024;
-
-    Node* node_at(std::uint32_t idx) const;
-    void push_free(Node* n);
-    void* grow();
-
-    std::atomic<std::uint64_t> head_{static_cast<std::uint64_t>(kNil)};
-    std::vector<std::atomic<Node*>> blocks_{kMaxBlocks};
-    std::atomic<std::size_t> block_count_{0};
-    std::mutex grow_mu_;
-  };
+  /// What enqueue() does when the queue already holds capacity_ tasks.
+  enum class Room { kWait, kRefuse, kIgnore };
 
   struct Deferred {
     double due;  // sim time at which the replay may run
-    Item* item;
-  };
-  struct DeferredLater {
-    bool operator()(const Deferred& a, const Deferred& b) const {
-      return a.due > b.due;  // min-heap on due time
-    }
+    ItemPtr item;
   };
 
-  void ensure_spawned();
-  void worker_loop(int self);
-  Item* find_task(int self, std::uint32_t& rng_state);
-  void run_item(Item* item);
-  void park();
-  void wake_one(bool force = false);
-  void wake_all();
-  bool work_available() const;
-  void begin_span(Item* item);
-  bool dispatch(Item* item, bool blocking);
-  bool inject(Item* item, bool blocking);
+  /// One drain() in progress: it waits for the `remaining` tasks that were
+  /// outstanding when it started, i.e. those with a sequence number below
+  /// `seq`.
+  struct DrainTicket {
+    std::uint64_t seq;
+    std::size_t remaining;
+  };
+
+  mpiio::IoRequest submit_item(Task task, Completion done, bool supervised);
+  ItemPtr make_item(Task task, std::shared_ptr<mpiio::IoRequest::State> state);
+  /// Moves `item` into the queue and returns true, or returns false and
+  /// leaves it with the caller when the engine is closed or (kRefuse)
+  /// full. A replay keeps the sequence number of its first submission.
+  bool enqueue(ItemPtr& item, Room room, bool replay);
+  void worker_loop();
+  void run_item(ItemPtr item);
+  void finish(ItemPtr item, std::size_t n);
+  void fail_item(ItemPtr item, std::exception_ptr err);
+  void handle_failure(ItemPtr item, std::exception_ptr err);
+  void defer(ItemPtr item, double due);
+  void retire(std::uint64_t seq);
   void timer_loop();
-  void finish(Item* item, std::size_t n);
-  void fail_item(Item* item, std::exception_ptr err);
-  void handle_failure(Item* item, std::exception_ptr err);
-  void defer(Item* item, double due);
-  void destroy(Item* item);
-  void task_done(std::uint32_t gen_slot);
-  void await_gen_zero(std::uint32_t slot);
 
   const int threads_;  // effective worker count (>= 1)
   const bool lazy_;
-  const std::size_t capacity_;  // logical injection-queue capacity
-  const Config::Engine tuning_;
+  const std::size_t capacity_;
   Stats* stats_;
   obs::Tracer* tracer_;
   const Config::Retry retry_;
   Backoff backoff_;
 
-  ItemPool pool_;
-  MpmcRing<Item*> inject_;
-  std::atomic<std::int64_t> inject_size_{0};
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::once_flag spawn_once_;
-  std::mutex lifecycle_mu_;
-  bool shut_down_ = false;
-
-  // Submission gate: closed_ refuses new work; submit_gate_ counts
-  // submitters between their closed-check and their push, so shutdown and
-  // the workers' final-exit check can wait out in-flight pushes instead of
-  // stranding an item behind a closed flag.
-  std::atomic<bool> closed_{false};
-  std::atomic<int> submit_gate_{0};
-
-  // Park/wake protocol. sleepers_ is the fast-path gate: producers skip
-  // the mutex entirely while every worker is busy. The Dekker pair
-  // (producer: push, fence, read sleepers_ / worker: bump sleepers_,
-  // fence, re-check queues) makes the park decision lose-proof, and the
-  // condvar+mutex make the actual sleep race-free.
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  std::atomic<int> sleepers_{0};
-  // Wake throttle: number of workers currently inside find_task. A
-  // producer skips the wake when someone is already scanning — the
-  // scanner's park-time re-check (after it leaves this count) is ordered
-  // after the producer's push, so the item cannot be stranded.
-  std::atomic<int> searching_{0};
+  // The Fig. 2 queue and everything its workers, submitters and drainers
+  // wait on.
+  std::mutex mu_;
+  std::condition_variable work_cv_;   // queue non-empty, or closed
+  std::condition_variable space_cv_;  // queue below capacity, or closed
+  std::condition_variable drain_cv_;  // a drain ticket reached zero
+  std::deque<ItemPtr> queue_;
+  bool closed_ = false;
+  int idle_ = 0;           // workers waiting on work_cv_
+  int wakes_pending_ = 0;  // notifies sent to idle workers, not yet woken
+  int space_waiters_ = 0;  // submitters waiting on space_cv_
+  std::uint64_t next_seq_ = 0;    // stamped on each accepted submission
+  std::size_t outstanding_ = 0;   // accepted, final outcome not yet reached
+  std::vector<DrainTicket*> drains_;
+  std::vector<std::thread> workers_;  // spawned on first use when lazy
 
   // Deferred replays (supervision). The timer thread is spawned on the
   // first defer — fault-free runs never pay for it.
   std::mutex defer_mu_;
   std::condition_variable defer_cv_;
-  std::priority_queue<Deferred, std::vector<Deferred>, DeferredLater> deferred_;
-  std::thread timer_;
-  bool timer_spawned_ = false;
+  std::vector<Deferred> deferred_;  // min-heap on due
   bool timer_stop_ = false;
+  std::thread timer_;
 
-  // drain()'s snapshot barrier: a two-slot generation ledger instead of a
-  // global completed-count (a global count also counts tasks submitted
-  // AFTER the snapshot, which could satisfy the barrier while a slow
-  // pre-snapshot task was still running). Every dispatch stamps its Item
-  // with the current drain generation and raises that generation's
-  // outstanding counter; the final completion lowers it. drain() — drains
-  // are serialized on drain_serial_mu_ — first waits out the *other* slot
-  // (stragglers from older generations), then flips drain_gen_ and waits
-  // for the snapshot slot to hit zero. New submissions land in the flipped
-  // slot, so they can never satisfy the barrier; the wait is bounded by
-  // work dispatched before the flip. The mutex/condvar pair is only
-  // touched per-completion while a drainer is registered.
-  std::mutex drain_serial_mu_;
-  std::atomic<std::uint64_t> drain_gen_{0};
-  std::atomic<std::int64_t> gen_outstanding_[2] = {{0}, {0}};
-  std::atomic<int> drain_waiters_{0};
-  std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
+  std::mutex lifecycle_mu_;  // serializes shutdown()
+  bool shut_down_ = false;
 };
 
 }  // namespace remio::semplar

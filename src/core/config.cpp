@@ -21,15 +21,6 @@ void validate(const Config& cfg) {
   // contiguous even split.
   if (cfg.queue_capacity == 0)
     throw std::invalid_argument("semplar::Config: queue_capacity must be > 0");
-  if (cfg.engine.steal_rounds < 1 || cfg.engine.steal_rounds > 64)
-    throw std::invalid_argument(
-        "semplar::Config: engine.steal_rounds out of range [1, 64]");
-  if (cfg.engine.inject_batch < 1 || cfg.engine.inject_batch > 4096)
-    throw std::invalid_argument(
-        "semplar::Config: engine.inject_batch out of range [1, 4096]");
-  if (cfg.engine.spin_polls < 0 || cfg.engine.spin_polls > (1 << 20))
-    throw std::invalid_argument(
-        "semplar::Config: engine.spin_polls out of range [0, 2^20]");
   if (cfg.cache_block_bytes == 0)
     throw std::invalid_argument("semplar::Config: cache_block_bytes must be > 0");
   if (cfg.cache_bytes != 0 && cfg.cache_bytes < cfg.cache_block_bytes)

@@ -42,28 +42,14 @@ struct Config {
   static constexpr std::size_t kAutoStripe = 0;
   std::size_t stripe_size = kAutoStripe;
 
-  /// I/O queue capacity (Fig. 2 queue); pushes beyond it block the caller.
-  /// In the work-stealing engine this bounds the external injection queue;
-  /// worker-local task spawns (prefetch chains) ride the per-worker deques,
-  /// which grow instead of blocking so a worker can never deadlock on its
-  /// own backlog.
+  /// I/O queue capacity (Fig. 2 queue); submits beyond it block the
+  /// caller. Submits from an I/O thread itself (prefetch chains) and
+  /// supervised replays never wait for room, so a worker can never
+  /// deadlock on its own backlog.
   std::size_t queue_capacity = 1024;
 
-  /// Work-stealing engine tuning (src/core/async_engine). Defaults are
-  /// sized for the 1–8 worker range the I/O pool actually runs at.
-  struct Engine {
-    /// Full sweeps over the other workers' deques (randomized start) an
-    /// idle worker makes before parking on the engine semaphore.
-    int steal_rounds = 4;
-    /// Max tasks a worker pulls from the injection queue per visit; the
-    /// first runs immediately, the rest land in its own deque where other
-    /// workers can steal them. Amortizes injection-queue CAS traffic.
-    int inject_batch = 8;
-    /// Empty scan iterations (own deque -> injection -> steal sweep) a
-    /// worker tolerates before parking. Parked workers cost nothing; a
-    /// submit wakes exactly one.
-    int spin_polls = 2;
-  };
+  /// No fields; perfbench/src/ladder.cpp still passes it to AsyncEngine.
+  struct Engine {};
   Engine engine;
 
   /// Client-side block cache (src/cache). 0 = disabled (the paper's

@@ -27,11 +27,10 @@ SemplarFile::SemplarFile(simnet::Fabric& fabric, const Config& cfg,
   streams_ = std::make_unique<StreamPool>(fabric, cfg_, path, srb_flags,
                                           &stats_, tracer_.get());
   // §4.3: by default one I/O thread spawned lazily on the first async call
-  // (the engine resolves io_threads == 0 itself); pre-spawned work-stealing
-  // pool when io_threads >= 1 is requested explicitly.
+  // (the engine resolves io_threads == 0 itself); io_threads >= 1
+  // pre-spawns that many threads draining the one FIFO queue.
   engine_ = std::make_unique<AsyncEngine>(cfg_.io_threads, cfg_.queue_capacity,
-                                          &stats_, cfg_.retry, tracer_.get(),
-                                          cfg_.engine);
+                                          &stats_, cfg_.retry, tracer_.get());
   if (cfg_.cache_bytes > 0) {
     static std::atomic<std::uint64_t> handle_seq{0};
     writer_tag_ = cfg_.client_host + "#" + std::to_string(++handle_seq);

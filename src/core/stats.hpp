@@ -25,10 +25,9 @@ struct StatsSnapshot {
   std::uint64_t wire_ops = 0;
   double io_busy_sim = 0.0;  // simulated seconds I/O threads spent on tasks
 
-  // Work-stealing engine (all zero for a single lazy worker that never
-  // contends). steals counts tasks executed by a worker other than the one
-  // whose deque they sat in; parks/wakes trace the sleep protocol.
-  std::uint64_t steals = 0;
+  std::uint64_t steals = 0;  // Always 0; perfbench/src/ladder.cpp prints it.
+  // Engine sleep protocol: parks counts I/O-thread waits on an empty
+  // queue, wakes counts notifies sent to an idle I/O thread.
   std::uint64_t parks = 0;
   std::uint64_t wakes = 0;
 
@@ -70,7 +69,6 @@ class Stats {
     // Atomic add on double via CAS (C++20 fetch_add on atomic<double>).
     io_busy_sim_.fetch_add(sim_seconds, std::memory_order_relaxed);
   }
-  void add_steal() { ++steals_; }
   void add_park() { ++parks_; }
   void add_wake() { ++wakes_; }
   void add_reconnect() { ++reconnects_; }
@@ -96,7 +94,6 @@ class Stats {
     s.queue_peak = queue_peak_.load(std::memory_order_relaxed);
     s.wire_ops = wire_ops_.load(std::memory_order_relaxed);
     s.io_busy_sim = io_busy_sim_.load(std::memory_order_relaxed);
-    s.steals = steals_.load(std::memory_order_relaxed);
     s.parks = parks_.load(std::memory_order_relaxed);
     s.wakes = wakes_.load(std::memory_order_relaxed);
     s.reconnects = reconnects_.load(std::memory_order_relaxed);
@@ -130,7 +127,6 @@ class Stats {
   std::atomic<std::uint64_t> queue_peak_{0};
   std::atomic<std::uint64_t> wire_ops_{0};
   std::atomic<double> io_busy_sim_{0.0};
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> wakes_{0};
   std::atomic<std::uint64_t> reconnects_{0};

@@ -311,165 +311,6 @@ TEST(FixedFunction, DestroysCaptureExactlyOnce) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
-// --- work-stealing deque ----------------------------------------------------
-
-TEST(WorkStealingDeque, OwnerLifoThiefFifo) {
-  WorkStealingDeque<int*> d(4);
-  int vals[6] = {0, 1, 2, 3, 4, 5};
-  for (int& v : vals) d.push(&v);  // also exercises growth past capacity 4
-  int* out = nullptr;
-  ASSERT_EQ(d.steal(out), WorkStealingDeque<int*>::Steal::kSuccess);
-  EXPECT_EQ(*out, 0);  // thief sees the oldest
-  ASSERT_TRUE(d.pop(out));
-  EXPECT_EQ(*out, 5);  // owner sees the freshest
-  ASSERT_EQ(d.steal(out), WorkStealingDeque<int*>::Steal::kSuccess);
-  EXPECT_EQ(*out, 1);
-  ASSERT_TRUE(d.pop(out));
-  EXPECT_EQ(*out, 4);
-  EXPECT_EQ(d.size_approx(), 2u);
-}
-
-TEST(WorkStealingDeque, EmptyAndLastElementRace) {
-  WorkStealingDeque<int*> d;
-  int* out = nullptr;
-  EXPECT_FALSE(d.pop(out));
-  EXPECT_EQ(d.steal(out), WorkStealingDeque<int*>::Steal::kEmpty);
-  int v = 9;
-  d.push(&v);
-  EXPECT_TRUE(d.pop(out));
-  EXPECT_EQ(out, &v);
-  EXPECT_FALSE(d.pop(out));
-  EXPECT_TRUE(d.empty_approx());
-}
-
-TEST(WorkStealingDeque, ConcurrentThievesLoseNothing) {
-  // Owner pushes and pops while thieves hammer steal(): every element is
-  // claimed exactly once. Element uniqueness is checked by summing.
-  constexpr int kItems = 20000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque<std::int64_t*> d(8);  // small: forces growth under fire
-  std::vector<std::int64_t> vals(kItems);
-  for (int i = 0; i < kItems; ++i) vals[static_cast<std::size_t>(i)] = i;
-
-  std::atomic<std::int64_t> stolen_sum{0};
-  std::atomic<int> claimed{0};
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t)
-    thieves.emplace_back([&] {
-      std::int64_t* out = nullptr;
-      while (!done.load(std::memory_order_acquire)) {
-        if (d.steal(out) == WorkStealingDeque<std::int64_t*>::Steal::kSuccess) {
-          stolen_sum += *out;
-          ++claimed;
-        }
-      }
-    });
-
-  std::int64_t popped_sum = 0;
-  for (int i = 0; i < kItems; ++i) {
-    d.push(&vals[static_cast<std::size_t>(i)]);
-    if ((i & 3) == 0) {  // owner takes some back, racing the thieves
-      std::int64_t* out = nullptr;
-      if (d.pop(out)) {
-        popped_sum += *out;
-        ++claimed;
-      }
-    }
-  }
-  std::int64_t* out = nullptr;
-  while (d.pop(out)) {
-    popped_sum += *out;
-    ++claimed;
-  }
-  while (claimed.load() < kItems) std::this_thread::yield();
-  done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-
-  EXPECT_EQ(claimed.load(), kItems);
-  EXPECT_EQ(stolen_sum.load() + popped_sum,
-            static_cast<std::int64_t>(kItems) * (kItems - 1) / 2);
-}
-
-// --- MPMC injection ring ----------------------------------------------------
-
-TEST(MpmcRing, FifoWithinCapacity) {
-  MpmcRing<int*> r(4);
-  EXPECT_GE(r.capacity(), 4u);
-  int vals[4] = {0, 1, 2, 3};
-  for (int& v : vals) ASSERT_TRUE(r.try_push(&v));
-  int* out = nullptr;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(r.try_pop(out));
-    EXPECT_EQ(*out, i);
-  }
-  EXPECT_FALSE(r.try_pop(out));
-}
-
-TEST(MpmcRing, RefusesWhenFullRecoversAfterPop) {
-  MpmcRing<int*> r(2);
-  const std::size_t cap = r.capacity();
-  std::vector<int> vals(cap + 1);
-  for (std::size_t i = 0; i < cap; ++i) ASSERT_TRUE(r.try_push(&vals[i]));
-  EXPECT_FALSE(r.try_push(&vals[cap]));
-  int* out = nullptr;
-  ASSERT_TRUE(r.try_pop(out));
-  EXPECT_TRUE(r.try_push(&vals[cap]));
-}
-
-TEST(MpmcRing, PopBatchDrainsInOrder) {
-  MpmcRing<int*> r(8);
-  int vals[5] = {0, 1, 2, 3, 4};
-  for (int& v : vals) ASSERT_TRUE(r.try_push(&v));
-  int* batch[8];
-  EXPECT_EQ(r.try_pop_batch(batch, 3), 3u);
-  EXPECT_EQ(*batch[0], 0);
-  EXPECT_EQ(*batch[2], 2);
-  EXPECT_EQ(r.try_pop_batch(batch, 8), 2u);
-  EXPECT_EQ(*batch[0], 3);
-  EXPECT_EQ(r.try_pop_batch(batch, 8), 0u);
-}
-
-TEST(MpmcRing, ManyProducersManyConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 10000;
-  MpmcRing<std::int64_t*> r(256);
-  std::vector<std::int64_t> vals(kProducers * kPerProducer);
-  for (std::size_t i = 0; i < vals.size(); ++i)
-    vals[i] = static_cast<std::int64_t>(i);
-
-  std::atomic<std::int64_t> sum{0};
-  std::atomic<int> count{0};
-  std::atomic<bool> done{false};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p)
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        std::int64_t* v = &vals[static_cast<std::size_t>(p * kPerProducer + i)];
-        while (!r.try_push(v)) std::this_thread::yield();
-      }
-    });
-  for (int c = 0; c < kConsumers; ++c)
-    threads.emplace_back([&] {
-      std::int64_t* out = nullptr;
-      while (!done.load(std::memory_order_acquire)) {
-        if (r.try_pop(out)) {
-          sum += *out;
-          ++count;
-        }
-      }
-    });
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  while (count.load() < kProducers * kPerProducer) std::this_thread::yield();
-  done.store(true, std::memory_order_release);
-  for (std::size_t i = kProducers; i < threads.size(); ++i) threads[i].join();
-
-  const std::int64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(count.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
 // --- table ----------------------------------------------------------------------
 
 TEST(Table, TextAndCsv) {

@@ -229,6 +229,16 @@ TEST(Frame, RejectsBadMagicAndTruncation) {
   bad[0] = 'X';
   EXPECT_THROW(decode_frame(ByteSpan(bad.data(), bad.size()), out), CodecError);
   EXPECT_THROW(decode_frame(ByteSpan(wire.data(), wire.size() - 1), out), CodecError);
+  // A retired RMF1 frame (FNV-1a sum in a 21-byte header) is no longer read.
+  Bytes rmf1;
+  ByteWriter w(rmf1);
+  w.u32(0x52'4D'46'31);  // "RMF1"
+  w.u8(static_cast<std::uint8_t>(CodecId::kNull));
+  w.u32(static_cast<std::uint32_t>(block.size()));
+  w.u32(static_cast<std::uint32_t>(block.size()));
+  w.u64(fnv1a(ByteSpan(block.data(), block.size())));
+  w.raw(ByteSpan(block.data(), block.size()));
+  EXPECT_THROW(decode_frame(ByteSpan(rmf1.data(), rmf1.size()), out), CodecError);
 }
 
 TEST(Frame, CurrentEncoderWritesV2WithCrc32c) {
@@ -236,64 +246,11 @@ TEST(Frame, CurrentEncoderWritesV2WithCrc32c) {
   Bytes wire;
   encode_frame(codec_by_name("lzmini"), ByteSpan(block.data(), block.size()), wire);
   ByteReader r(ByteSpan(wire.data(), wire.size()));
-  EXPECT_EQ(r.u32(), kFrameMagicV2);
+  EXPECT_EQ(r.u32(), kFrameMagic);
   (void)r.u8();   // codec id
   (void)r.u32();  // usize
   (void)r.u32();  // csize
   EXPECT_EQ(r.u32(), crc32c(ByteSpan(block.data(), block.size())));
-}
-
-TEST(Frame, LegacyV1FnvFramesStillDecode) {
-  // A pre-bump object: hand-build the 21-byte RMF1 header around an lzmini
-  // payload, FNV-1a over the uncompressed block. decode_frame must accept
-  // it — and detect corruption with the OLD checksum algorithm.
-  const Bytes block = make_content("text", 4000, 22);
-  Bytes payload;
-  codec_by_name("lzmini").compress(ByteSpan(block.data(), block.size()), payload);
-  Bytes wire;
-  ByteWriter w(wire);
-  w.u32(kFrameMagicV1);
-  w.u8(static_cast<std::uint8_t>(CodecId::kLzMini));
-  w.u32(static_cast<std::uint32_t>(block.size()));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u64(fnv1a(ByteSpan(block.data(), block.size())));
-  w.raw(ByteSpan(payload.data(), payload.size()));
-  ASSERT_EQ(wire.size(), kFrameHeaderSizeV1 + payload.size());
-
-  Bytes out;
-  EXPECT_EQ(decode_frame(ByteSpan(wire.data(), wire.size()), out), wire.size());
-  EXPECT_EQ(out, block);
-
-  Bytes bad = wire;
-  bad[bad.size() - 7] = static_cast<char>(bad[bad.size() - 7] ^ 0x20);
-  Bytes sink;
-  EXPECT_THROW(decode_frame(ByteSpan(bad.data(), bad.size()), sink), CodecError);
-}
-
-TEST(Frame, MixedVersionStreamDecodes) {
-  // An old object appended to by new code: v1 frame followed by v2 frames.
-  // The magic dispatches per frame, so the stream decodes transparently.
-  const Bytes old_block = make_content("repeat8", 6000, 23);
-  Bytes old_payload;
-  codec_by_name("rle").compress(ByteSpan(old_block.data(), old_block.size()),
-                                old_payload);
-  Bytes wire;
-  ByteWriter w(wire);
-  w.u32(kFrameMagicV1);
-  w.u8(static_cast<std::uint8_t>(CodecId::kRle));
-  w.u32(static_cast<std::uint32_t>(old_block.size()));
-  w.u32(static_cast<std::uint32_t>(old_payload.size()));
-  w.u64(fnv1a(ByteSpan(old_block.data(), old_block.size())));
-  w.raw(ByteSpan(old_payload.data(), old_payload.size()));
-
-  Bytes expected = old_block;
-  for (int i = 0; i < 3; ++i) {
-    const Bytes block = make_content("dna", 2000 + 500 * i, 24u + i);
-    encode_frame(codec_by_name("lzmini"), ByteSpan(block.data(), block.size()),
-                 wire);
-    expected.insert(expected.end(), block.begin(), block.end());
-  }
-  EXPECT_EQ(decode_frame_stream(ByteSpan(wire.data(), wire.size())), expected);
 }
 
 TEST(Frame, EmptyBlock) {

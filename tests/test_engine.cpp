@@ -1,6 +1,7 @@
-// Concurrency tests for the work-stealing AsyncEngine: multi-producer steal
-// storms, drain() under concurrent submitters, supervised replay migrating
-// across workers, and worker-local (nested) submission routing.
+// Concurrency tests for the AsyncEngine's FIFO worker pool: multi-producer
+// submit storms, drain() under concurrent submitters, FIFO dispatch across
+// workers, supervised replay migrating across workers, and submissions
+// from inside a task.
 //
 // The EngineMatrix suite reads REMIO_ENGINE_THREADS (default 4) so the same
 // binary can be re-registered under different pool sizes — see
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
@@ -39,11 +41,10 @@ int matrix_threads() {
 // --- EngineMatrix: parameterized by REMIO_ENGINE_THREADS --------------------
 
 TEST(EngineMatrix, StealStormCompletesEveryTask) {
-  // N external producers blast short tasks at M workers through the
-  // injection queue; batching spreads them across deques where idle workers
-  // steal them back. Every task must run exactly once (sum check) and the
+  // N external producers blast short tasks at M workers through the one
+  // bounded queue. Every task must run exactly once (sum check) and the
   // engine must end quiescent. Run under TSan in CI, this is the race probe
-  // for the deque/ring/park protocols.
+  // for the queue, capacity and park/wake protocols.
   const int threads = matrix_threads();
   Stats stats;
   AsyncEngine engine(threads, 256, &stats);
@@ -112,8 +113,8 @@ TEST(EngineMatrix, DrainWaitsForSlowPreDrainTaskDespiteLaterCompletions) {
   // worker while hundreds of post-drain submissions complete on the others;
   // a count-based barrier (completed >= submitted-at-entry) is satisfied by
   // those later completions and returns with the pre-drain task still
-  // running. The generation ledger must keep the drainer blocked until the
-  // slow task itself finishes.
+  // running. The drain ticket must keep the drainer blocked until the slow
+  // task itself finishes.
   const int threads = matrix_threads();
   AsyncEngine engine(threads, 64);
   std::atomic<bool> release{false};
@@ -175,12 +176,10 @@ TEST(EngineMatrix, TrySubmitStormNeverBlocksAndNeverLoses) {
 
 // --- fixed-shape engine behaviour -------------------------------------------
 
-TEST(WorkStealingEngine, StealsObservedWithImbalancedLoad) {
-  // Deterministic imbalance: one task fans 32 children out from inside a
-  // worker, so they all land on *that worker's* deque. The other three
-  // workers see an empty injection queue and a non-empty sibling deque —
-  // the only way they can participate (and they must, for the fan-out to
-  // finish while its spawner still holds the deque bottom) is stealing.
+TEST(FifoEngine, FanOutFromWorkerCompletesEveryTask) {
+  // One task fans 32 children out from inside a worker. Those submits
+  // never wait for room, and the other three workers must pick the
+  // children up while their spawner is still running.
   Stats stats;
   AsyncEngine engine(4, 256, &stats);
   std::atomic<int> ran{0};
@@ -196,48 +195,66 @@ TEST(WorkStealingEngine, StealsObservedWithImbalancedLoad) {
       })
       .wait();
   engine.drain();
-  const auto snap = stats.snapshot();
   EXPECT_EQ(ran.load(), 32);
-  EXPECT_EQ(snap.async_tasks, 33u);
-  EXPECT_GT(snap.steals, 0u);
+  EXPECT_EQ(stats.snapshot().async_tasks, 33u);
 }
 
-TEST(WorkStealingEngine, DegenerateTuningIsClampedStealingStillWorks) {
-  // Directly constructed engines bypass Config validation; the ctor must
-  // clamp the knobs itself. steal_rounds = 0 would silently disable the
-  // steal sweep (this fan-out would then serialize on one worker and the
-  // steal counter would stay 0); negative spin_polls would skip the scan
-  // loop entirely; an oversized inject_batch would overrun find_task's
-  // stack batch buffer if taken at face value.
-  Config::Engine t;
-  t.steal_rounds = 0;
-  t.spin_polls = -5;
-  t.inject_batch = 1 << 20;
-  Stats stats;
-  AsyncEngine engine(4, 256, &stats, {}, nullptr, t);
-  std::atomic<int> ran{0};
-  engine
-      .submit([&] {
-        for (int i = 0; i < 32; ++i)
-          engine.submit([&ran] {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            return std::size_t{0};
-          });
-        return std::size_t{0};
-      })
-      .wait();
-  engine.drain();
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_GT(stats.snapshot().steals, 0u);
+TEST(FifoEngine, DispatchIsFifoAcrossWorkers) {
+  // Both workers of a 2-worker pool are pinned while four tasks queue
+  // behind them. Releasing the pins one at a time must start the queued
+  // tasks oldest first: task 0 on the first freed worker, then task 1 on
+  // the second, not a newer task.
+  AsyncEngine engine(2, 64);
+  struct Hog {
+    std::atomic<bool> running{false};
+    std::atomic<bool> release{false};
+  };
+  Hog hogs[2];
+  std::vector<mpiio::IoRequest> reqs;
+  for (Hog& h : hogs)
+    reqs.push_back(engine.submit([&h] {
+      h.running.store(true, std::memory_order_release);
+      while (!h.release.load(std::memory_order_acquire))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return std::size_t{0};
+    }));
+  for (Hog& h : hogs)
+    while (!h.running.load(std::memory_order_acquire))
+      std::this_thread::yield();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> started;
+  for (int i = 0; i < 4; ++i)
+    reqs.push_back(engine.submit([&, i] {
+      std::unique_lock lk(mu);
+      started.push_back(i);
+      cv.notify_all();
+      // Hold the first freed worker until a second task has started.
+      if (i == 0)
+        cv.wait_for(lk, std::chrono::seconds(5),
+                    [&] { return started.size() >= 2; });
+      return std::size_t{0};
+    }));
+  hogs[0].release.store(true, std::memory_order_release);
+  {
+    std::unique_lock lk(mu);
+    EXPECT_TRUE(cv.wait_for(lk, std::chrono::seconds(5),
+                            [&] { return !started.empty(); }));
+  }
+  hogs[1].release.store(true, std::memory_order_release);
+  for (auto& r : reqs) r.wait();
+  ASSERT_EQ(started.size(), 4u);
+  EXPECT_EQ(started[0], 0);
+  EXPECT_EQ(started[1], 1);
 }
 
-TEST(WorkStealingEngine, ParkedWorkersWakeOnSubmit) {
+TEST(FifoEngine, ParkedWorkersWakeOnSubmit) {
   Stats stats;
   AsyncEngine engine(2, 64, &stats);
   engine.submit([] { return std::size_t{0}; }).wait();
   engine.drain();
-  // Idle long enough for both workers to exhaust their spin polls and park.
+  // Idle long enough for both workers to park on the empty queue.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const auto idle = stats.snapshot();
   EXPECT_GT(idle.parks, 0u);
@@ -246,12 +263,11 @@ TEST(WorkStealingEngine, ParkedWorkersWakeOnSubmit) {
   EXPECT_GT(stats.snapshot().wakes, 0u);
 }
 
-TEST(WorkStealingEngine, NestedSubmitFromWorkerDoesNotDeadlock) {
+TEST(FifoEngine, NestedSubmitFromWorkerDoesNotDeadlock) {
   // A task chain that submits its successor from the worker thread, with a
-  // queue capacity far smaller than the chain: worker-local submissions ride
-  // the worker's own (growing) deque, so the single worker can never block
-  // on its own backlog. The mutex-queue engine would deadlock here if the
-  // chain submitted while the queue was full.
+  // queue capacity far smaller than the chain: a submit from a worker never
+  // waits for room, so the single worker can never block on its own
+  // backlog.
   AsyncEngine engine(1, 2);
   constexpr int kDepth = 100;
   std::atomic<int> ran{0};
@@ -268,10 +284,9 @@ TEST(WorkStealingEngine, NestedSubmitFromWorkerDoesNotDeadlock) {
   EXPECT_EQ(ran.load(), kDepth);
 }
 
-TEST(WorkStealingEngine, WorkerLocalTrySubmitHonorsCapacity) {
-  // Speculation from a worker is bounded by queue_capacity against its own
-  // deque, mirroring the external limit: a prefetch storm cannot grow the
-  // deque without bound.
+TEST(FifoEngine, WorkerLocalTrySubmitHonorsCapacity) {
+  // Speculation from a worker is bounded by queue_capacity like any other
+  // try_submit: a prefetch storm cannot grow the queue without bound.
   AsyncEngine engine(1, 4);
   std::atomic<int> accepted{0};
   std::atomic<int> rejected{0};
@@ -292,9 +307,9 @@ TEST(WorkStealingEngine, WorkerLocalTrySubmitHonorsCapacity) {
   EXPECT_LE(accepted.load(), 8);  // capacity 4 plus pop-racing slack
 }
 
-TEST(WorkStealingEngine, SupervisedReplayMigratesAcrossWorkers) {
+TEST(FifoEngine, SupervisedReplayMigratesAcrossWorkers) {
   // A supervised task fails on worker A, parks for its backoff, and is
-  // re-injected by the timer while worker A is pinned by a hog — so the
+  // re-queued by the timer while worker A is pinned by a hog — so the
   // replay *must* complete on a different worker, and its span bookkeeping
   // must still record exactly one kTask and one kBackoff span.
   simnet::ScopedTimeScale scale(10.0);  // sim 1s == 100ms wall
@@ -377,7 +392,7 @@ TEST(WorkStealingEngine, SupervisedReplayMigratesAcrossWorkers) {
   EXPECT_EQ(tracer.gauge(obs::GaugeId::kDeferredBacklog).value(), 0);
 }
 
-TEST(WorkStealingEngine, ShutdownRacingSubmittersLosesNoAcceptedTask) {
+TEST(FifoEngine, ShutdownRacingSubmittersLosesNoAcceptedTask) {
   // Submitters race shutdown(): every submit either completes (request
   // succeeds) or fails with the shutdown error — nothing hangs, nothing is
   // silently dropped.
