@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "common/error.hpp"
 #include "simnet/timescale.hpp"
 
 namespace remio::semplar {
@@ -298,33 +296,13 @@ void AsyncEngine::handle_failure(ItemPtr item, std::exception_ptr err) {
     fail_item(std::move(item), err);
     return;
   }
-  const remio::Status st = remio::status_from_exception(err);
-  if (!st.retryable() || item->attempt + 1 >= retry_.max_attempts) {
-    fail_item(std::move(item), err);
-    return;
-  }
-  const double delay = backoff_.delay(item->attempt);
-  if (retry_.op_deadline > 0.0 &&
-      simnet::sim_now() - item->start_sim + delay > retry_.op_deadline) {
-    if (stats_ != nullptr) stats_->add_deadline_expiration();
-    const std::string msg =
-        "op deadline (" + std::to_string(retry_.op_deadline) +
-        "s sim) exceeded after " + std::to_string(item->attempt + 1) +
-        " attempts: " + st.message();
-    fail_item(std::move(item),
-              std::make_exception_ptr(mpiio::IoError(
-                  {remio::ErrorDomain::kDeadline, 0, /*retryable=*/false,
-                   "supervise"},
-                  msg)));
+  const RetryVerdict v = decide_retry(retry_, backoff_, stats_, err,
+                                      item->attempt, item->start_sim);
+  if (v.terminal != nullptr) {
+    fail_item(std::move(item), v.terminal);
     return;
   }
   ++item->attempt;
-  if (stats_ != nullptr) {
-    stats_->add_backoff(delay);
-    stats_->add_replayed_op();
-    if (st.domain() == remio::ErrorDomain::kIntegrity)
-      stats_->add_integrity_retry();
-  }
   const double now = simnet::sim_now();
   if (tracer_ != nullptr) {
     // The parked interval [now, now + delay): visible in the trace as a
@@ -333,10 +311,10 @@ void AsyncEngine::handle_failure(ItemPtr item, std::exception_ptr err) {
     park.op_id = item->span.op_id;
     park.kind = obs::SpanKind::kBackoff;
     park.enqueue = park.dequeue = park.wire_start = now;
-    park.wire_end = now + delay;
+    park.wire_end = now + v.delay;
     tracer_->record(park);
   }
-  defer(std::move(item), now + delay);
+  defer(std::move(item), now + v.delay);
 }
 
 void AsyncEngine::defer(ItemPtr item, double due) {

@@ -7,9 +7,7 @@ namespace remio::semplar {
 
 CompressPipe::CompressPipe(mpiio::adio::FileHandle& file,
                            const compress::Codec& codec, std::uint64_t base_offset)
-    : file_(file), codec_(codec), next_offset_(base_offset) {
-  compressor_ = std::thread([this] { loop(); });
-}
+    : file_(file), codec_(codec), next_offset_(base_offset) {}
 
 CompressPipe::~CompressPipe() {
   try {
@@ -25,93 +23,75 @@ mpiio::IoRequest CompressPipe::write(ByteSpan block) {
   item.block.assign(block.begin(), block.end());
   item.state = req.state();
   item.pushed = simnet::sim_now();
-  if (!queue_.push(std::move(item)))
+  // The block's own request carries its outcome, so the task never throws
+  // and the engine's request fails only when finish() shut the engine down.
+  const mpiio::IoRequest task =
+      engine_.submit([this, item = std::move(item)]() mutable {
+        try {
+          compress_and_ship(item);
+        } catch (...) {
+          mpiio::IoRequest::fail(item.state, std::current_exception());
+        }
+        return std::size_t{0};
+      });
+  if (!task.error().ok())
     mpiio::IoRequest::fail(req.state(),
                            std::make_exception_ptr(mpiio::IoError("pipe finished")));
   return req;
 }
 
-void CompressPipe::loop() {
-  // Frames are kept alive until their async write completes: the write path
-  // does not copy (§4.3 zero-copy threads), so the previous frame's buffer
-  // must persist while the *next* block is being compressed — that is the
-  // two-stage pipeline.
-  std::shared_ptr<Bytes> in_flight_frame;
-  mpiio::IoRequest in_flight_req;
-  std::shared_ptr<mpiio::IoRequest::State> in_flight_state;
-
-  auto settle_in_flight = [&] {
-    if (!in_flight_req.valid()) return;
-    try {
-      const std::size_t n = in_flight_req.wait();
-      mpiio::IoRequest::complete(in_flight_state, n);
-    } catch (...) {
-      mpiio::IoRequest::fail(in_flight_state, std::current_exception());
-    }
-    in_flight_req = mpiio::IoRequest();
-    in_flight_frame.reset();
-  };
-
-  while (auto item = queue_.pop()) {
-    auto frame = std::make_shared<Bytes>();
-    const double t0 = simnet::sim_now();
-    try {
-      compress::encode_frame(codec_, ByteSpan(item->block.data(), item->block.size()),
-                             *frame);
-    } catch (...) {
-      mpiio::IoRequest::fail(item->state, std::current_exception());
-      continue;
-    }
-    const double compress_time = simnet::sim_now() - t0;
-    if (obs::Tracer* tracer = file_.tracer(); tracer != nullptr) {
-      // Stage-overlap evidence for §7.3: the codec occupancy of block i
-      // next to the wire occupancy of block i-1 in the same trace.
-      obs::Span s;
-      s.op_id = tracer->next_op_id();
-      s.kind = obs::SpanKind::kCompress;
-      s.bytes = item->block.size();
-      s.enqueue = item->pushed;  // queue wait = pipeline backpressure
-      s.dequeue = s.wire_start = t0;
-      s.wire_end = t0 + compress_time;
-      tracer->record(s);
-    }
-
-    // Block i is now compressed; only here do we require block i-1's
-    // transmission to have finished (pipeline depth 1, like the paper).
-    settle_in_flight();
-
-    std::uint64_t offset;
-    {
-      std::lock_guard lk(stats_mu_);
-      stats_.raw_bytes += item->block.size();
-      stats_.wire_bytes += frame->size();
-      stats_.blocks += 1;
-      stats_.compress_sim_seconds += compress_time;
-      offset = next_offset_;
-      next_offset_ += frame->size();
-    }
-
-    in_flight_frame = frame;
-    in_flight_state = item->state;
-    try {
-      in_flight_req = file_.supports_async()
-                          ? file_.iwrite_at(offset, ByteSpan(frame->data(), frame->size()))
-                          : mpiio::IoRequest();
-      if (!in_flight_req.valid()) {
-        // Synchronous fallback (driver without async): write inline.
-        const std::size_t n = file_.write_at(offset, ByteSpan(frame->data(), frame->size()));
-        mpiio::IoRequest::complete(item->state, n);
-        in_flight_frame.reset();
-        in_flight_state.reset();
-      }
-    } catch (...) {
-      mpiio::IoRequest::fail(item->state, std::current_exception());
-      in_flight_req = mpiio::IoRequest();
-      in_flight_frame.reset();
-      in_flight_state.reset();
-    }
+void CompressPipe::compress_and_ship(Item& item) {
+  auto frame = std::make_shared<Bytes>();
+  const double t0 = simnet::sim_now();
+  compress::encode_frame(codec_, ByteSpan(item.block.data(), item.block.size()),
+                         *frame);
+  const double compress_time = simnet::sim_now() - t0;
+  if (obs::Tracer* tracer = file_.tracer(); tracer != nullptr) {
+    // Stage-overlap evidence for §7.3: the codec occupancy of block i
+    // next to the wire occupancy of block i-1 in the same trace.
+    obs::Span s;
+    s.op_id = tracer->next_op_id();
+    s.kind = obs::SpanKind::kCompress;
+    s.bytes = item.block.size();
+    s.enqueue = item.pushed;  // queue wait = pipeline backpressure
+    s.dequeue = s.wire_start = t0;
+    s.wire_end = t0 + compress_time;
+    tracer->record(s);
   }
+
+  // Block i is now compressed; only here do we require block i-1's
+  // transmission to have finished (pipeline depth 1, like the paper).
   settle_in_flight();
+
+  std::uint64_t offset;
+  {
+    std::lock_guard lk(stats_mu_);
+    stats_.raw_bytes += item.block.size();
+    stats_.wire_bytes += frame->size();
+    stats_.blocks += 1;
+    stats_.compress_sim_seconds += compress_time;
+    offset = next_offset_;
+    next_offset_ += frame->size();
+  }
+
+  in_flight_req_ = file_.iwrite_at(offset, ByteSpan(frame->data(), frame->size()));
+  in_flight_frame_ = std::move(frame);
+  in_flight_state_ = std::move(item.state);
+  // A driver whose async verbs return already complete (ufs) leaves
+  // nothing to overlap: complete the block now, not after the next one.
+  if (in_flight_req_.test()) settle_in_flight();
+}
+
+void CompressPipe::settle_in_flight() {
+  if (!in_flight_req_.valid()) return;
+  try {
+    mpiio::IoRequest::complete(in_flight_state_, in_flight_req_.wait());
+  } catch (...) {
+    mpiio::IoRequest::fail(in_flight_state_, std::current_exception());
+  }
+  in_flight_req_ = mpiio::IoRequest();
+  in_flight_frame_.reset();
+  in_flight_state_.reset();
 }
 
 void CompressPipe::finish() {
@@ -120,8 +100,8 @@ void CompressPipe::finish() {
     if (finished_) return;
     finished_ = true;
   }
-  queue_.close();
-  if (compressor_.joinable()) compressor_.join();
+  engine_.shutdown();  // compresses every accepted block, then joins
+  settle_in_flight();  // the last frame's write
 }
 
 CompressPipeStats CompressPipe::stats() const {

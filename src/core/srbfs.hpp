@@ -52,7 +52,6 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   mpiio::IoRequest iwritev(const ExtentList& extents, ByteSpan data) override;
 
   // --- asynchronous path (this paper) -------------------------------------
-  bool supports_async() const override { return true; }
   mpiio::IoRequest iread_at(std::uint64_t offset, MutByteSpan out) override;
   mpiio::IoRequest iwrite_at(std::uint64_t offset, ByteSpan data) override;
 

@@ -190,28 +190,11 @@ auto StreamPool::supervised(Fn&& fn) {
     try {
       return fn();
     } catch (...) {
-      const std::exception_ptr eptr = std::current_exception();
-      const remio::Status st = remio::status_from_exception(eptr);
-      if (!st.retryable() || attempt + 1 >= cfg_.retry.max_attempts)
-        std::rethrow_exception(eptr);
-      const double delay = backoff_.delay(attempt);
-      if (cfg_.retry.op_deadline > 0.0 &&
-          simnet::sim_now() - start + delay > cfg_.retry.op_deadline) {
-        if (stats_ != nullptr) stats_->add_deadline_expiration();
-        throw mpiio::IoError(
-            {remio::ErrorDomain::kDeadline, 0, /*retryable=*/false,
-             "supervise"},
-            "op deadline (" + std::to_string(cfg_.retry.op_deadline) +
-                "s sim) exceeded after " + std::to_string(attempt + 1) +
-                " attempts: " + st.message());
-      }
-      if (stats_ != nullptr) {
-        stats_->add_backoff(delay);
-        stats_->add_replayed_op();
-        if (st.domain() == remio::ErrorDomain::kIntegrity)
-          stats_->add_integrity_retry();
-      }
-      simnet::sleep_sim(delay);
+      const RetryVerdict v = decide_retry(cfg_.retry, backoff_, stats_,
+                                          std::current_exception(), attempt,
+                                          start);
+      if (v.terminal != nullptr) std::rethrow_exception(v.terminal);
+      simnet::sleep_sim(v.delay);
     }
   }
 }
@@ -326,8 +309,9 @@ std::size_t StreamPool::pwritev(int stream, const ExtentList& extents,
   return supervised([&] { return pwritev_once(stream, extents, data); });
 }
 
-std::size_t StreamPool::preadv_once(int stream, const ExtentList& extents,
-                                    MutByteSpan out) {
+template <bool IsWrite, class Span>
+std::size_t StreamPool::transfer_list(int stream, const ExtentList& extents,
+                                      Span data) {
   const std::size_t max_bytes = srb::SrbClient::kMaxIoChunk;
   std::uint32_t max_ext = cfg_.sieve.max_extents_per_msg;
   if (max_ext == 0 || max_ext > srb::kMaxListExtents)
@@ -343,8 +327,12 @@ std::size_t StreamPool::preadv_once(int stream, const ExtentList& extents,
       const std::size_t n =
           once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
             WireTrace wt(tracer_, idx);
-            const std::size_t m =
-                c.pread(fd, out.subspan(packed, want), extents[i].offset);
+            std::size_t m = 0;
+            if constexpr (IsWrite) {
+              m = c.pwrite(fd, data.subspan(packed, want), extents[i].offset);
+            } else {
+              m = c.pread(fd, data.subspan(packed, want), extents[i].offset);
+            }
             wt.set_bytes(m);
             if (stats_ != nullptr) stats_->add_wire_ops(chunk_messages(want));
             return m;
@@ -352,7 +340,8 @@ std::size_t StreamPool::preadv_once(int stream, const ExtentList& extents,
       total += n;
       packed += want;
       ++i;
-      if (n < want) break;  // past EOF; sorted list ⇒ the rest is too
+      // A short read is past EOF; in a sorted list the rest is too.
+      if (!IsWrite && n < want) break;
       continue;
     }
     std::size_t j = i;
@@ -367,7 +356,12 @@ std::size_t StreamPool::preadv_once(int stream, const ExtentList& extents,
     const std::size_t n =
         once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
           WireTrace wt(tracer_, idx);
-          const std::size_t m = c.preadv(fd, batch, out.subspan(packed, bytes));
+          std::size_t m = 0;
+          if constexpr (IsWrite) {
+            m = c.pwritev(fd, batch, data.subspan(packed, bytes));
+          } else {
+            m = c.preadv(fd, batch, data.subspan(packed, bytes));
+          }
           wt.set_bytes(m);
           if (stats_ != nullptr) stats_->add_wire_ops(1);
           return m;
@@ -375,56 +369,19 @@ std::size_t StreamPool::preadv_once(int stream, const ExtentList& extents,
     total += n;
     packed += bytes;
     i = j;
-    if (n < bytes) break;
+    if (!IsWrite && n < bytes) break;
   }
   return total;
 }
 
+std::size_t StreamPool::preadv_once(int stream, const ExtentList& extents,
+                                    MutByteSpan out) {
+  return transfer_list<false>(stream, extents, out);
+}
+
 std::size_t StreamPool::pwritev_once(int stream, const ExtentList& extents,
                                      ByteSpan data) {
-  const std::size_t max_bytes = srb::SrbClient::kMaxIoChunk;
-  std::uint32_t max_ext = cfg_.sieve.max_extents_per_msg;
-  if (max_ext == 0 || max_ext > srb::kMaxListExtents)
-    max_ext = srb::kMaxListExtents;
-
-  std::size_t total = 0;
-  std::size_t packed = 0;
-  std::size_t i = 0;
-  while (i < extents.size()) {
-    if (extents[i].len > max_bytes) {
-      const std::size_t want = static_cast<std::size_t>(extents[i].len);
-      total += once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
-        WireTrace wt(tracer_, idx);
-        const std::size_t m =
-            c.pwrite(fd, data.subspan(packed, want), extents[i].offset);
-        wt.set_bytes(m);
-        if (stats_ != nullptr) stats_->add_wire_ops(chunk_messages(want));
-        return m;
-      });
-      packed += want;
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    std::size_t bytes = 0;
-    while (j < extents.size() && j - i < max_ext &&
-           extents[j].len <= max_bytes && bytes + extents[j].len <= max_bytes) {
-      bytes += static_cast<std::size_t>(extents[j].len);
-      ++j;
-    }
-    const ExtentList batch(extents.begin() + static_cast<std::ptrdiff_t>(i),
-                           extents.begin() + static_cast<std::ptrdiff_t>(j));
-    total += once(stream, [&](srb::SrbClient& c, std::int32_t fd, int idx) {
-      WireTrace wt(tracer_, idx);
-      const std::size_t m = c.pwritev(fd, batch, data.subspan(packed, bytes));
-      wt.set_bytes(m);
-      if (stats_ != nullptr) stats_->add_wire_ops(1);
-      return m;
-    });
-    packed += bytes;
-    i = j;
-  }
-  return total;
+  return transfer_list<true>(stream, extents, data);
 }
 
 srb::Generation StreamPool::read_generation() {

@@ -128,6 +128,9 @@ class StreamPool {
   auto once(int requested, Fn&& fn);
   template <class Fn>
   auto supervised(Fn&& fn);
+  /// The list batcher behind preadv_once/pwritev_once (see List I/O above).
+  template <bool IsWrite, class Span>
+  std::size_t transfer_list(int stream, const ExtentList& extents, Span data);
 
   simnet::Fabric& fabric_;
   Config cfg_;

@@ -81,26 +81,40 @@ class FileHandle {
     return done;
   }
 
-  /// Drivers that can do better than the portable thread fallback override
-  /// these (SEMPLAR does: multi-stream striping + its own I/O threads).
-  virtual bool supports_async() const { return false; }
-  virtual IoRequest iread_at(std::uint64_t, MutByteSpan) {
-    throw IoError("driver has no native async read");
+  /// Asynchronous verbs. The defaults are ROMIO's ADIOI_FAKE_* verbs: they
+  /// run the synchronous verb on the caller's thread and return a request
+  /// that is already complete, or already failed with the verb's exception.
+  /// Drivers with real async I/O override them (SEMPLAR does: multi-stream
+  /// striping on its own I/O threads, §4.3).
+  virtual IoRequest iread_at(std::uint64_t offset, MutByteSpan out) {
+    return completed([&] { return read_at(offset, out); });
   }
-  virtual IoRequest iwrite_at(std::uint64_t, ByteSpan) {
-    throw IoError("driver has no native async write");
+  virtual IoRequest iwrite_at(std::uint64_t offset, ByteSpan data) {
+    return completed([&] { return write_at(offset, data); });
   }
-  virtual IoRequest ireadv(const ExtentList&, MutByteSpan) {
-    throw IoError("driver has no native async vectored read");
+  virtual IoRequest ireadv(const ExtentList& extents, MutByteSpan out) {
+    return completed([&] { return readv(extents, out); });
   }
-  virtual IoRequest iwritev(const ExtentList&, ByteSpan) {
-    throw IoError("driver has no native async vectored write");
+  virtual IoRequest iwritev(const ExtentList& extents, ByteSpan data) {
+    return completed([&] { return writev(extents, data); });
   }
 
   /// The driver's span tracer, when it has one (SEMPLAR with Config::Obs
   /// enabled). Pipeline stages layered above a handle (core/compress_pipe)
   /// record their spans here so one trace shows the whole path.
   virtual obs::Tracer* tracer() { return nullptr; }
+
+ private:
+  template <class Fn>
+  static IoRequest completed(Fn&& verb) {
+    IoRequest req = IoRequest::make();
+    try {
+      IoRequest::complete(req.state(), verb());
+    } catch (...) {
+      IoRequest::fail(req.state(), std::current_exception());
+    }
+    return req;
+  }
 };
 
 class Driver {

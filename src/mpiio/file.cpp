@@ -5,10 +5,7 @@
 namespace remio::mpiio {
 
 File::File(adio::Driver& driver, const std::string& path, std::uint32_t mode)
-    : handle_(driver.open(path, mode)) {
-  if (!handle_->supports_async())
-    fallback_ = std::make_unique<AsyncFallback>(*handle_);
-}
+    : handle_(driver.open(path, mode)) {}
 
 File::~File() {
   try {
@@ -53,8 +50,7 @@ IoRequest File::ireadv(const ExtentList& extents, MutByteSpan out) {
     IoRequest::complete(req.state(), 0);
     return req;
   }
-  if (handle_->supports_async()) return handle_->ireadv(extents, out);
-  return fallback_->ireadv(extents, out);
+  return handle_->ireadv(extents, out);
 }
 
 IoRequest File::iwritev(const ExtentList& extents, ByteSpan data) {
@@ -64,8 +60,7 @@ IoRequest File::iwritev(const ExtentList& extents, ByteSpan data) {
     IoRequest::complete(req.state(), 0);
     return req;
   }
-  if (handle_->supports_async()) return handle_->iwritev(extents, data);
-  return fallback_->iwritev(extents, data);
+  return handle_->iwritev(extents, data);
 }
 
 // --- offset wrappers -------------------------------------------------------
@@ -174,16 +169,12 @@ FileView File::view() const {
 
 std::uint64_t File::size() { return handle_->size(); }
 
-void File::flush() {
-  if (fallback_) fallback_->drain();
-  handle_->flush();
-}
+void File::flush() { handle_->flush(); }
 
 void File::close() {
   if (closed_) return;
   closed_ = true;
   flush();
-  fallback_.reset();  // joins the fallback I/O thread
   handle_.reset();
 }
 

@@ -16,7 +16,6 @@
 
 #include "common/extent.hpp"
 #include "mpiio/adio.hpp"
-#include "mpiio/async_fallback.hpp"
 #include "mpiio/file_view.hpp"
 
 namespace remio::mpiio {
@@ -79,7 +78,6 @@ class File {
   void check_packed(const ExtentList& extents, std::size_t buf_bytes) const;
 
   std::unique_ptr<adio::FileHandle> handle_;
-  std::unique_ptr<AsyncFallback> fallback_;  // only when !supports_async()
   mutable std::mutex fp_mu_;  // guards fp_ and view_
   std::uint64_t fp_ = 0;      // in view coordinates when a view is set
   FileView view_;             // identity by default

@@ -1,14 +1,21 @@
 // Codec and frame tests, including parameterized round-trip property sweeps
-// over codecs, content classes and sizes, and malformed-input rejection.
+// over codecs, content classes and sizes, and malformed-input rejection;
+// and the asynchronous compression pipeline (CompressPipe) over ufs.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <thread>
 #include <tuple>
+#include <unistd.h>
 
 #include "bio/synth.hpp"
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "compress/codec.hpp"
 #include "compress/frame.hpp"
+#include "core/compress_pipe.hpp"
+#include "mpiio/ufs.hpp"
 
 namespace remio::compress {
 namespace {
@@ -263,3 +270,97 @@ TEST(Frame, EmptyBlock) {
 
 }  // namespace
 }  // namespace remio::compress
+
+namespace remio::semplar {
+namespace {
+
+// --- CompressPipe ---------------------------------------------------------------
+
+class CompressPipeTest : public ::testing::Test {
+ protected:
+  CompressPipeTest() {
+    root_ = std::filesystem::temp_directory_path() /
+            ("remio_pipe_" + std::to_string(::getpid()));
+    driver_ = std::make_unique<mpiio::UfsDriver>(root_.string());
+  }
+  ~CompressPipeTest() override {
+    std::error_code ec;
+    std::filesystem::remove_all(root_, ec);
+  }
+  std::filesystem::path root_;
+  std::unique_ptr<mpiio::UfsDriver> driver_;
+};
+
+TEST_F(CompressPipeTest, PipelineRoundTrip) {
+  auto handle = driver_->open("/pipe", mpiio::kModeRead | mpiio::kModeWrite |
+                                           mpiio::kModeCreate | mpiio::kModeTrunc);
+  Bytes original;
+  {
+    CompressPipe pipe(*handle, compress::codec_by_name("lzmini"));
+    remio::Rng rng(4);
+    std::vector<mpiio::IoRequest> reqs;
+    for (int i = 0; i < 5; ++i) {
+      Bytes block;
+      // Mix compressible and incompressible blocks.
+      if (i % 2 == 0) {
+        block = Bytes(100 * 1024, static_cast<char>('a' + i));
+      } else {
+        block = rng.bytes(64 * 1024 + 17);
+      }
+      original.insert(original.end(), block.begin(), block.end());
+      reqs.push_back(pipe.write(ByteSpan(block.data(), block.size())));
+    }
+    pipe.finish();
+    for (auto& r : reqs) EXPECT_GT(r.wait(), 0u);
+
+    const auto st = pipe.stats();
+    EXPECT_EQ(st.blocks, 5u);
+    EXPECT_EQ(st.raw_bytes, original.size());
+    EXPECT_LT(st.wire_bytes, st.raw_bytes);  // net compression
+  }
+  EXPECT_EQ(read_all_decompressed(*handle), original);
+}
+
+TEST_F(CompressPipeTest, WriteAfterFinishFails) {
+  auto handle = driver_->open("/pipe2", mpiio::kModeWrite | mpiio::kModeCreate);
+  CompressPipe pipe(*handle, compress::codec_by_name("null"));
+  pipe.finish();
+  const Bytes b(10, 'x');
+  auto req = pipe.write(ByteSpan(b.data(), b.size()));
+  EXPECT_THROW(req.wait(), mpiio::IoError);
+}
+
+TEST_F(CompressPipeTest, FinishIdempotentAndDtorSafe) {
+  auto handle = driver_->open("/pipe3", mpiio::kModeRead | mpiio::kModeWrite |
+                                            mpiio::kModeCreate);
+  {
+    CompressPipe pipe(*handle, compress::codec_by_name("rle"));
+    const Bytes b(1000, 'r');
+    pipe.write(ByteSpan(b.data(), b.size()));
+    pipe.finish();
+    pipe.finish();
+  }
+  EXPECT_EQ(read_all_decompressed(*handle).size(), 1000u);
+}
+
+TEST_F(CompressPipeTest, UfsBlockCompletesWithoutWaitingForTheNext) {
+  // ufs async writes return already complete, so a block's request
+  // completes once its frame is written, not when the next block (or
+  // finish) settles it.
+  // The deadline only guards against a hang; it asserts no timing.
+  auto handle = driver_->open("/pipe4", mpiio::kModeRead | mpiio::kModeWrite |
+                                            mpiio::kModeCreate);
+  CompressPipe pipe(*handle, compress::codec_by_name("lzmini"));
+  const Bytes b(4096, 'u');
+  const mpiio::IoRequest req = pipe.write(ByteSpan(b.data(), b.size()));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!req.test() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(req.test());
+  EXPECT_TRUE(req.error().ok());
+  pipe.finish();
+  EXPECT_EQ(read_all_decompressed(*handle), b);
+}
+
+}  // namespace
+}  // namespace remio::semplar

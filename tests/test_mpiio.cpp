@@ -1,6 +1,7 @@
 // MPI-IO front-end tests over the ufs driver: explicit-offset and
-// file-pointer I/O, seek semantics, the generic async fallback (Fig. 2
-// architecture), request semantics, and error paths.
+// file-pointer I/O, seek semantics, the default async verbs of a driver
+// with only synchronous ones (already complete on return, like ROMIO's
+// fake verbs), request semantics, and error paths.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -94,7 +95,7 @@ TEST_F(MpiioTest, TruncMode) {
   f.close();
 }
 
-TEST_F(MpiioTest, AsyncFallbackWriteRead) {
+TEST_F(MpiioTest, AsyncWriteRead) {
   File f(*driver_, "/async", kModeRead | kModeWrite | kModeCreate);
   Rng rng(1);
   const Bytes data = rng.bytes(128 * 1024);
@@ -161,6 +162,43 @@ TEST_F(MpiioTest, CloseWaitsForOutstandingIo) {
   File f(*driver_, "/closewait", kModeRead);
   EXPECT_EQ(f.size(), data.size());
   f.close();
+}
+
+// A driver with only synchronous verbs, all of which fail with a
+// classified, retryable transport error.
+class FailingHandle final : public adio::FileHandle {
+ public:
+  std::size_t read_at(std::uint64_t, MutByteSpan) override { throw failure(); }
+  std::size_t write_at(std::uint64_t, ByteSpan) override { throw failure(); }
+  std::uint64_t size() override { return 0; }
+
+ private:
+  static IoError failure() {
+    return IoError({ErrorDomain::kTransport, 7, /*retryable=*/true, "send"},
+                   "link down");
+  }
+};
+
+TEST(AdioDefaultAsync, SyncFailureBelongsToTheCompletedRequest) {
+  FailingHandle h;
+  Bytes buf(16);
+  const ExtentList xs{{0, 8}, {32, 8}};
+  std::vector<IoRequest> reqs;
+  EXPECT_NO_THROW(reqs.push_back(h.iread_at(0, MutByteSpan(buf.data(), 16))));
+  EXPECT_NO_THROW(reqs.push_back(h.iwrite_at(0, ByteSpan(buf.data(), 16))));
+  EXPECT_NO_THROW(reqs.push_back(h.ireadv(xs, MutByteSpan(buf.data(), 16))));
+  EXPECT_NO_THROW(reqs.push_back(h.iwritev(xs, ByteSpan(buf.data(), 16))));
+  ASSERT_EQ(reqs.size(), 4u);
+  for (IoRequest& r : reqs) {
+    EXPECT_TRUE(r.test());  // already complete: no I/O thread behind it
+    const Status st = r.error();
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.domain(), ErrorDomain::kTransport);
+    EXPECT_EQ(st.code(), 7);
+    EXPECT_TRUE(st.retryable());
+    EXPECT_EQ(st.message(), "link down");
+    EXPECT_THROW(r.wait(), IoError);
+  }
 }
 
 TEST(IoRequest, EmptyRequestBehaviour) {

@@ -489,7 +489,7 @@ INSTANTIATE_TEST_SUITE_P(
         NoncontigCase{Config::Sieve::Mode::kAuto, true, true}),
     noncontig_case_name);
 
-// --- the portable layer: validation, views, ufs fallback -------------------
+// --- the portable layer: validation, views, default async verbs -----------
 
 class NoncontigUfsTest : public ::testing::Test {
  protected:
@@ -533,7 +533,7 @@ TEST_F(NoncontigUfsTest, ValidatesListAndBufferSize) {
   f.close();
 }
 
-TEST_F(NoncontigUfsTest, AsyncFallbackRunsVectoredVerbs) {
+TEST_F(NoncontigUfsTest, DefaultAsyncRunsVectoredVerbs) {
   mpiio::File f(*driver_, "/fb", mpiio::kModeRead | mpiio::kModeWrite |
                                      mpiio::kModeCreate);
   const Bytes image = Rng(37).bytes(4096);

@@ -1,15 +1,12 @@
 // SEMPLAR core tests: config validation, the async engine (FIFO, lazy
-// spawn, drain, errors), multi-stream striping correctness, the
-// double-open trick from §7.2, and the compression pipeline.
+// spawn, drain, errors), multi-stream striping correctness, and the
+// double-open trick from §7.2.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
-#include <unistd.h>
 
 #include "common/rng.hpp"
 #include "core/semplar.hpp"
-#include "mpiio/ufs.hpp"
 #include "simnet/timescale.hpp"
 #include "srb/server.hpp"
 
@@ -368,75 +365,6 @@ TEST_F(SemplarFileTest, ErrorPropagatesFromStripedWrite) {
   const Bytes data(512 * 1024, 'e');
   mpiio::IoRequest w = f.iwrite_at(0, ByteSpan(data.data(), data.size()));
   EXPECT_ANY_THROW(w.wait());
-}
-
-// --- CompressPipe ---------------------------------------------------------------
-
-class CompressPipeTest : public ::testing::Test {
- protected:
-  CompressPipeTest() {
-    root_ = std::filesystem::temp_directory_path() /
-            ("remio_pipe_" + std::to_string(::getpid()));
-    driver_ = std::make_unique<mpiio::UfsDriver>(root_.string());
-  }
-  ~CompressPipeTest() override {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-  std::filesystem::path root_;
-  std::unique_ptr<mpiio::UfsDriver> driver_;
-};
-
-TEST_F(CompressPipeTest, PipelineRoundTrip) {
-  auto handle = driver_->open("/pipe", mpiio::kModeRead | mpiio::kModeWrite |
-                                           mpiio::kModeCreate | mpiio::kModeTrunc);
-  Bytes original;
-  {
-    CompressPipe pipe(*handle, compress::codec_by_name("lzmini"));
-    remio::Rng rng(4);
-    std::vector<mpiio::IoRequest> reqs;
-    for (int i = 0; i < 5; ++i) {
-      Bytes block;
-      // Mix compressible and incompressible blocks.
-      if (i % 2 == 0) {
-        block = Bytes(100 * 1024, static_cast<char>('a' + i));
-      } else {
-        block = rng.bytes(64 * 1024 + 17);
-      }
-      original.insert(original.end(), block.begin(), block.end());
-      reqs.push_back(pipe.write(ByteSpan(block.data(), block.size())));
-    }
-    pipe.finish();
-    for (auto& r : reqs) EXPECT_GT(r.wait(), 0u);
-
-    const auto st = pipe.stats();
-    EXPECT_EQ(st.blocks, 5u);
-    EXPECT_EQ(st.raw_bytes, original.size());
-    EXPECT_LT(st.wire_bytes, st.raw_bytes);  // net compression
-  }
-  EXPECT_EQ(read_all_decompressed(*handle), original);
-}
-
-TEST_F(CompressPipeTest, WriteAfterFinishFails) {
-  auto handle = driver_->open("/pipe2", mpiio::kModeWrite | mpiio::kModeCreate);
-  CompressPipe pipe(*handle, compress::codec_by_name("null"));
-  pipe.finish();
-  const Bytes b(10, 'x');
-  auto req = pipe.write(ByteSpan(b.data(), b.size()));
-  EXPECT_THROW(req.wait(), mpiio::IoError);
-}
-
-TEST_F(CompressPipeTest, FinishIdempotentAndDtorSafe) {
-  auto handle = driver_->open("/pipe3", mpiio::kModeRead | mpiio::kModeWrite |
-                                            mpiio::kModeCreate);
-  {
-    CompressPipe pipe(*handle, compress::codec_by_name("rle"));
-    const Bytes b(1000, 'r');
-    pipe.write(ByteSpan(b.data(), b.size()));
-    pipe.finish();
-    pipe.finish();
-  }
-  EXPECT_EQ(read_all_decompressed(*handle).size(), 1000u);
 }
 
 }  // namespace
