@@ -182,7 +182,7 @@ std::size_t BlockCache::read_locked(Lock& lk, std::uint64_t offset,
       }
     } else if (tracer_ != nullptr) {
       // Hits are the hot path (every cached application read lands here):
-      // counted always, materialized as ring spans only 1-in-64.
+      // counted in CacheCounters, materialized as ring spans only 1-in-64.
       tracer_->note_instant(obs::SpanKind::kCacheHit, len);
     }
     if (counters_ != nullptr) {
@@ -263,9 +263,6 @@ std::size_t BlockCache::write_locked(Lock& lk, std::uint64_t offset,
   local_extent_ =
       std::max(local_extent_, offset + static_cast<std::uint64_t>(data.size()));
   known_size_ = std::max(known_size_, local_extent_);
-  if (tracer_ != nullptr)
-    tracer_->gauge(obs::GaugeId::kDirtyBytes)
-        .set(static_cast<std::int64_t>(writeback_.dirty_bytes()));
 
   if (writeback_.write_through()) {
     // Cache updated for future reads; the write itself goes straight out.
@@ -346,8 +343,6 @@ std::size_t BlockCache::flush_planned(
     s.enqueue = s.dequeue = s.wire_start = flush_t0;
     s.wire_end = simnet::sim_now();
     tracer_->record(s);
-    tracer_->gauge(obs::GaugeId::kDirtyBytes)
-        .set(static_cast<std::int64_t>(writeback_.dirty_bytes()));
   }
 
   if (counters_ != nullptr && completed > 0)
@@ -511,7 +506,8 @@ bool BlockCache::check_sum(const Block& b) {
     if (!ok) CacheCounters::bump(counters_->integrity_failures);
   }
   if (!ok && tracer_ != nullptr)
-    tracer_->note_instant(obs::SpanKind::kIntegrity, b.valid);
+    tracer_->record_instant(obs::SpanKind::kIntegrity, simnet::sim_now(),
+                            b.valid);
   return ok;
 }
 

@@ -67,7 +67,7 @@ class BlockCache {
   /// `counters` may be null (bench/unit use); `backend` must outlive the
   /// cache, and all async fills must have completed before destruction
   /// (SEMPLAR shuts its engine down first). `tracer` (optional) records
-  /// per-access hit/fill/prefetch/flush spans and the dirty-bytes gauge.
+  /// fill/prefetch/flush/integrity spans and a 1-in-64 sample of hits.
   BlockCache(CacheBackend& backend, const CacheOptions& opts,
              CacheCounters* counters, obs::Tracer* tracer = nullptr);
 

@@ -133,9 +133,6 @@ AsyncEngine::ItemPtr AsyncEngine::make_item(
 }
 
 bool AsyncEngine::enqueue(ItemPtr& item, Room room, bool replay) {
-  // Gauge before the push: a worker may pop and decrement the instant the
-  // item lands, and the gauge must not go transiently negative.
-  if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kQueueDepth).add(1);
   bool wake = false;
   {
     std::unique_lock lk(mu_);
@@ -144,11 +141,8 @@ bool AsyncEngine::enqueue(ItemPtr& item, Room room, bool replay) {
       space_cv_.wait(lk);
       --space_waiters_;
     }
-    if (closed_ || (room == Room::kRefuse && queue_.size() >= capacity_)) {
-      lk.unlock();
-      if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kQueueDepth).add(-1);
+    if (closed_ || (room == Room::kRefuse && queue_.size() >= capacity_))
       return false;
-    }
     // §4.3: in the lazy configuration the first asynchronous call spawns
     // the worker.
     if (workers_.empty()) workers_.emplace_back([this] { worker_loop(); });
@@ -232,15 +226,11 @@ void AsyncEngine::worker_loop() {
 }
 
 void AsyncEngine::run_item(ItemPtr item) {
-  // Touch the sim clock only when someone consumes the timestamps.
-  const bool timed = stats_ != nullptr || tracer_ != nullptr;
-  const double t0 = timed ? simnet::sim_now() : 0.0;
-  if (tracer_ != nullptr) {
-    tracer_->gauge(obs::GaugeId::kQueueDepth).add(-1);
-    // First pickup only: a replayed task keeps its original dequeue so the
-    // span's queue_wait measures the first queue residency.
-    if (item->span.dequeue < 0.0) item->span.dequeue = t0;
-  }
+  // First pickup only: a replayed task keeps its original dequeue so the
+  // span's queue_wait measures the first queue residency. The sim clock is
+  // read only when a tracer consumes the timestamp.
+  if (tracer_ != nullptr && item->span.dequeue < 0.0)
+    item->span.dequeue = simnet::sim_now();
   std::size_t n = 0;
   std::exception_ptr err;
   {
@@ -253,7 +243,6 @@ void AsyncEngine::run_item(ItemPtr item) {
       err = std::current_exception();
     }
   }
-  if (stats_ != nullptr) stats_->add_busy(simnet::sim_now() - t0);
   if (err == nullptr)
     finish(std::move(item), n);
   else
@@ -325,7 +314,6 @@ void AsyncEngine::defer(ItemPtr item, double due) {
     return;
   }
   if (!timer_.joinable()) timer_ = std::thread([this] { timer_loop(); });
-  if (tracer_ != nullptr) tracer_->gauge(obs::GaugeId::kDeferredBacklog).add(1);
   deferred_.push_back(Deferred{due, std::move(item)});
   std::push_heap(deferred_.begin(), deferred_.end(), kLaterDue);
   defer_cv_.notify_all();
@@ -339,11 +327,8 @@ void AsyncEngine::timer_loop() {
       std::vector<Deferred> parked = std::move(deferred_);
       deferred_.clear();
       lk.unlock();
-      for (Deferred& d : parked) {
-        if (tracer_ != nullptr)
-          tracer_->gauge(obs::GaugeId::kDeferredBacklog).add(-1);
+      for (Deferred& d : parked)
         fail_item(std::move(d.item), shutdown_error());
-      }
       return;
     }
     if (deferred_.empty()) {
@@ -358,8 +343,6 @@ void AsyncEngine::timer_loop() {
     std::pop_heap(deferred_.begin(), deferred_.end(), kLaterDue);
     ItemPtr item = std::move(deferred_.back().item);
     deferred_.pop_back();
-    if (tracer_ != nullptr)
-      tracer_->gauge(obs::GaugeId::kDeferredBacklog).add(-1);
     lk.unlock();
     // Back into the FIFO behind whatever is queued, without waiting for
     // room. The item keeps its sequence number, so drain() keeps waiting.

@@ -48,8 +48,7 @@ class AsyncEngine {
   /// (default: disabled) enables the deferred-replay supervisor for
   /// submit_supervised() tasks. `tracer` (optional) records a kTask span
   /// per task — queue residency through final completion across replays —
-  /// plus queue-depth / deferred-backlog gauges and a kBackoff span per
-  /// parked replay.
+  /// and a kBackoff span per parked replay.
   AsyncEngine(int io_threads, std::size_t queue_capacity,
               Stats* stats = nullptr, const Config::Retry& retry = {},
               obs::Tracer* tracer = nullptr,

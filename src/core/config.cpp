@@ -69,9 +69,6 @@ void validate(const Config& cfg) {
   if (cfg.obs.ring_capacity > (1u << 24))
     throw std::invalid_argument(
         "semplar::Config: obs.ring_capacity > 2^24 (bound the trace memory)");
-  if (cfg.obs.report_interval < 0.0)
-    throw std::invalid_argument(
-        "semplar::Config: obs.report_interval must be >= 0");
 }
 
 }  // namespace remio::semplar

@@ -134,18 +134,15 @@ struct Config {
   };
   Retry retry;
 
-  /// Observability (src/obs): per-op span tracing, latency histograms and
-  /// queue/wire gauges. Default ON — the rings are drop-oldest so overhead
-  /// and memory stay bounded regardless of run length.
+  /// Observability (src/obs): per-op span tracing. Default ON — the rings
+  /// are drop-oldest so overhead and memory stay bounded regardless of run
+  /// length.
   struct Obs {
     /// Master switch. Off = no Tracer is created; every instrumentation
     /// site degrades to a null-pointer check.
     bool enabled = true;
     /// Spans retained per (thread, file) ring before drop-oldest kicks in.
     std::size_t ring_capacity = 8192;
-    /// Periodic plain-text report cadence in simulated seconds, written to
-    /// stderr. 0 = no periodic reporter (snapshots still work).
-    double report_interval = 0.0;
   };
   Obs obs;
 

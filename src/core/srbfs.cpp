@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iostream>
 #include <vector>
 
 #include "simnet/timescale.hpp"
@@ -46,10 +45,6 @@ SemplarFile::SemplarFile(simnet::Fabric& fabric, const Config& cfg,
     // Coherence baseline: whoever flushed last before this open.
     last_gen_ = streams_->read_generation();
   }
-  if (tracer_ != nullptr && cfg_.obs.report_interval > 0.0) {
-    reporter_ = std::make_unique<obs::TextReporter>(*tracer_, std::clog);
-    reporter_->start(cfg_.obs.report_interval);
-  }
 }
 
 SemplarFile::~SemplarFile() {
@@ -63,7 +58,6 @@ SemplarFile::~SemplarFile() {
       // that care about durability call flush() and see the exception there.
     }
   }
-  reporter_.reset();  // final report covers the drained engine + last flush
   streams_->close();
 }
 
@@ -106,64 +100,26 @@ void SemplarFile::publish_generation() {
   last_gen_ = streams_->bump_generation(writer_tag_);
 }
 
-// --- file verbs ------------------------------------------------------------
-
-std::size_t SemplarFile::read_at(std::uint64_t offset, MutByteSpan out) {
-  stats_.add_sync();
-  const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-  const std::size_t n = cache_ != nullptr ? cache_->read(offset, out)
-                                          : streams_->pread(0, out, offset);
-  if (tracer_ != nullptr) {
-    obs::Span s;
-    s.op_id = tracer_->next_op_id();
-    s.kind = obs::SpanKind::kSyncRead;
-    s.bytes = n;
-    s.enqueue = s.dequeue = s.wire_start = t0;
-    s.wire_end = simnet::sim_now();
-    tracer_->record(s);
-  }
-  stats_.add_read(n);
-  return n;
-}
-
-std::size_t SemplarFile::write_at(std::uint64_t offset, ByteSpan data) {
-  stats_.add_sync();
-  const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-  const std::size_t n = cache_ != nullptr ? cache_->write(offset, data)
-                                          : streams_->pwrite(0, data, offset);
-  if (tracer_ != nullptr) {
-    obs::Span s;
-    s.op_id = tracer_->next_op_id();
-    s.kind = obs::SpanKind::kSyncWrite;
-    s.bytes = n;
-    s.enqueue = s.dequeue = s.wire_start = t0;
-    s.wire_end = simnet::sim_now();
-    tracer_->record(s);
-  }
-  stats_.add_write(n);
-  return n;
-}
-
-std::uint64_t SemplarFile::size() {
-  engine_->drain();  // size must reflect completed queued writes
-  if (cache_ != nullptr) {
-    check_generation();
-    return cache_->logical_size();
-  }
-  return streams_->stat_size();
-}
-
-void SemplarFile::flush() {
-  engine_->drain();
-  if (cache_ != nullptr) {
-    cache_->flush();
-    publish_generation();
-  }
-}
+// --- verb families ---------------------------------------------------------
 
 namespace {
 
-/// Shared completion record for a striped request: the master request
+/// The request-level span of one verb: issued at `issued`, picked up at
+/// `started`, finished now. The op id is drawn at completion, after any
+/// spans the verb recorded on its way down.
+void record_verb_span(obs::Tracer& tracer, obs::SpanKind kind,
+                      std::size_t bytes, double issued, double started) {
+  obs::Span s;
+  s.op_id = tracer.next_op_id();
+  s.kind = kind;
+  s.bytes = bytes;
+  s.enqueue = issued;
+  s.dequeue = s.wire_start = started;
+  s.wire_end = simnet::sim_now();
+  tracer.record(s);
+}
+
+/// Shared completion record for a joined request: the master request
 /// completes when the last per-stream task finishes.
 struct StripeJoin {
   std::shared_ptr<mpiio::IoRequest::State> master;
@@ -198,11 +154,111 @@ struct StripeJoin {
   }
 };
 
+template <bool IsWrite>
+void add_bytes(Stats& stats, std::size_t n) {
+  if constexpr (IsWrite) {
+    stats.add_write(n);
+  } else {
+    stats.add_read(n);
+  }
+}
+
 }  // namespace
+
+template <bool IsWrite, class Io>
+std::size_t SemplarFile::sync_op(Io io) {
+  stats_.add_sync();
+  const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
+  const std::size_t n = io();
+  if (tracer_ != nullptr)
+    record_verb_span(*tracer_,
+                     IsWrite ? obs::SpanKind::kSyncWrite
+                             : obs::SpanKind::kSyncRead,
+                     n, t0, t0);
+  add_bytes<IsWrite>(stats_, n);
+  return n;
+}
+
+template <bool IsWrite, class Io>
+mpiio::IoRequest SemplarFile::submit_cached(Io io) {
+  const double issued = tracer_ != nullptr ? simnet::sim_now() : 0.0;
+  return engine_->submit([this, io = std::move(io), issued] {
+    const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
+    const std::size_t n = io();
+    if (tracer_ != nullptr)
+      record_verb_span(*tracer_,
+                       IsWrite ? obs::SpanKind::kIwrite : obs::SpanKind::kIread,
+                       n, issued, t0);
+    add_bytes<IsWrite>(stats_, n);
+    return n;
+  });
+}
+
+template <bool IsWrite, class TaskFor>
+mpiio::IoRequest SemplarFile::submit_joined(int active, TaskFor task_for) {
+  mpiio::IoRequest master = mpiio::IoRequest::make();
+  auto join = std::make_shared<StripeJoin>();
+  join->master = master.state();
+  join->remaining.store(active);
+  if (tracer_ != nullptr) {
+    join->tracer = tracer_.get();
+    join->span.op_id = tracer_->next_op_id();
+    join->span.kind = IsWrite ? obs::SpanKind::kIwrite : obs::SpanKind::kIread;
+    join->span.enqueue = simnet::sim_now();
+  }
+  for (int k = 0; k < active; ++k) {
+    // The task throws on failure so the engine can classify and replay it
+    // (submit_supervised). Join bookkeeping happens in the completion —
+    // once per task, after the final attempt.
+    engine_->submit_supervised(
+        task_for(k), [this, join](std::size_t moved, std::exception_ptr err) {
+          if (err == nullptr) {
+            join->bytes.fetch_add(moved);
+            add_bytes<IsWrite>(stats_, moved);
+          } else {
+            join->record_error(err);
+          }
+          join->finish_one();
+        });
+  }
+  return master;
+}
+
+// --- file verbs ------------------------------------------------------------
+
+std::size_t SemplarFile::read_at(std::uint64_t offset, MutByteSpan out) {
+  return sync_op<false>([&] {
+    return cache_ != nullptr ? cache_->read(offset, out)
+                             : streams_->pread(0, out, offset);
+  });
+}
+
+std::size_t SemplarFile::write_at(std::uint64_t offset, ByteSpan data) {
+  return sync_op<true>([&] {
+    return cache_ != nullptr ? cache_->write(offset, data)
+                             : streams_->pwrite(0, data, offset);
+  });
+}
+
+std::uint64_t SemplarFile::size() {
+  engine_->drain();  // size must reflect completed queued writes
+  if (cache_ != nullptr) {
+    check_generation();
+    return cache_->logical_size();
+  }
+  return streams_->stat_size();
+}
+
+void SemplarFile::flush() {
+  engine_->drain();
+  if (cache_ != nullptr) {
+    cache_->flush();
+    publish_generation();
+  }
+}
 
 template <bool IsWrite, class Span>
 mpiio::IoRequest SemplarFile::submit_striped(std::uint64_t offset, Span data) {
-  mpiio::IoRequest master = mpiio::IoRequest::make();
   const int stream_count = streams_->count();
   const std::size_t n = data.size();
   // Auto mode: one contiguous range per stream (a single broker round trip
@@ -223,56 +279,27 @@ mpiio::IoRequest SemplarFile::submit_striped(std::uint64_t offset, Span data) {
     if (chunks < active) active = chunks;
   }
 
-  auto join = std::make_shared<StripeJoin>();
-  join->master = master.state();
-  join->remaining.store(active);
-  if (tracer_ != nullptr) {
-    join->tracer = tracer_.get();
-    join->span.op_id = tracer_->next_op_id();
-    join->span.kind =
-        IsWrite ? obs::SpanKind::kIwrite : obs::SpanKind::kIread;
-    join->span.enqueue = simnet::sim_now();
-  }
-
-  for (int s = 0; s < active; ++s) {
-    // The task throws on failure so the engine can classify and replay it
-    // (submit_supervised); it re-runs from scratch, which is safe because
-    // every chunk is offset-addressed. With a dead stream the pool's
-    // *_once flavours transparently re-route `s` onto a survivor. Join
-    // bookkeeping happens in the completion — once per task, after the
-    // final attempt.
-    engine_->submit_supervised(
-        [this, s, stream_count, stripe, offset, data] {
-          std::size_t moved = 0;
-          for (std::size_t start = static_cast<std::size_t>(s) * stripe;
-               start < data.size();
-               start += static_cast<std::size_t>(stream_count) * stripe) {
-            const std::size_t len = std::min(stripe, data.size() - start);
-            if constexpr (IsWrite) {
-              moved +=
-                  streams_->pwrite_once(s, data.subspan(start, len), offset + start);
-            } else {
-              moved +=
-                  streams_->pread_once(s, data.subspan(start, len), offset + start);
-            }
-          }
-          return moved;
-        },
-        [this, join](std::size_t moved, std::exception_ptr err) {
-          if (err == nullptr) {
-            join->bytes.fetch_add(moved);
-            if constexpr (IsWrite) {
-              stats_.add_write(moved);
-            } else {
-              stats_.add_read(moved);
-            }
-          } else {
-            join->record_error(err);
-          }
-          join->finish_one();
-        });
-  }
-  return master;
+  // Each task re-runs from scratch on replay, which is safe because every
+  // chunk is offset-addressed. With a dead stream the pool's *_once
+  // flavours transparently re-route `s` onto a survivor.
+  return submit_joined<IsWrite>(active, [&](int s) {
+    return [this, s, stream_count, stripe, offset, data] {
+      std::size_t moved = 0;
+      for (std::size_t start = static_cast<std::size_t>(s) * stripe;
+           start < data.size();
+           start += static_cast<std::size_t>(stream_count) * stripe) {
+        const std::size_t len = std::min(stripe, data.size() - start);
+        if constexpr (IsWrite) {
+          moved +=
+              streams_->pwrite_once(s, data.subspan(start, len), offset + start);
+        } else {
+          moved +=
+              streams_->pread_once(s, data.subspan(start, len), offset + start);
+        }
+      }
+      return moved;
+    };
+  });
 }
 
 // --- noncontiguous strategies ----------------------------------------------
@@ -394,10 +421,10 @@ std::size_t SemplarFile::transfer_extents(Strategy strategy, int stream,
 template <bool IsWrite, class Span>
 mpiio::IoRequest SemplarFile::submit_extents(const ExtentList& extents,
                                              Span data) {
-  mpiio::IoRequest master = mpiio::IoRequest::make();
   if (extents.empty()) {
-    mpiio::IoRequest::complete(master.state(), 0);
-    return master;
+    mpiio::IoRequest done = mpiio::IoRequest::make();
+    mpiio::IoRequest::complete(done.state(), 0);
+    return done;
   }
   const Strategy strategy = pick_strategy(extents);
   const int active = static_cast<int>(std::min<std::size_t>(
@@ -409,17 +436,7 @@ mpiio::IoRequest SemplarFile::submit_extents(const ExtentList& extents,
   for (std::size_t i = 0; i < extents.size(); ++i)
     base[i + 1] = base[i] + static_cast<std::size_t>(extents[i].len);
 
-  auto join = std::make_shared<StripeJoin>();
-  join->master = master.state();
-  join->remaining.store(active);
-  if (tracer_ != nullptr) {
-    join->tracer = tracer_.get();
-    join->span.op_id = tracer_->next_op_id();
-    join->span.kind = IsWrite ? obs::SpanKind::kIwrite : obs::SpanKind::kIread;
-    join->span.enqueue = simnet::sim_now();
-  }
-
-  for (int k = 0; k < active; ++k) {
+  return submit_joined<IsWrite>(active, [&](int k) {
     // Count-even partition: stream k owns extents [lo, hi). Each subset is
     // itself sorted and disjoint, so every strategy applies per stream.
     const std::size_t lo = extents.size() * static_cast<std::size_t>(k) /
@@ -430,26 +447,11 @@ mpiio::IoRequest SemplarFile::submit_extents(const ExtentList& extents,
     ExtentList subset(extents.begin() + static_cast<std::ptrdiff_t>(lo),
                       extents.begin() + static_cast<std::ptrdiff_t>(hi));
     const Span part = data.subspan(base[lo], base[hi] - base[lo]);
-    engine_->submit_supervised(
-        [this, strategy, k, subset = std::move(subset), part] {
-          return transfer_extents<IsWrite>(strategy, k, subset, part,
-                                           /*once=*/true);
-        },
-        [this, join](std::size_t moved, std::exception_ptr err) {
-          if (err == nullptr) {
-            join->bytes.fetch_add(moved);
-            if constexpr (IsWrite) {
-              stats_.add_write(moved);
-            } else {
-              stats_.add_read(moved);
-            }
-          } else {
-            join->record_error(err);
-          }
-          join->finish_one();
-        });
-  }
-  return master;
+    return [this, strategy, k, subset = std::move(subset), part] {
+      return transfer_extents<IsWrite>(strategy, k, subset, part,
+                                       /*once=*/true);
+    };
+  });
 }
 
 std::size_t SemplarFile::readv(const ExtentList& extents, MutByteSpan out) {
@@ -457,123 +459,51 @@ std::size_t SemplarFile::readv(const ExtentList& extents, MutByteSpan out) {
   // are indistinguishable from read_at.
   if (extents.size() == 1) return read_at(extents[0].offset, out);
   if (extents.empty()) return 0;
-  stats_.add_sync();
-  const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-  const std::size_t n =
-      cache_ != nullptr
-          ? cache_->readv(extents, out)
-          : transfer_extents<false>(pick_strategy(extents), 0, extents, out,
-                                    /*once=*/false);
-  if (tracer_ != nullptr) {
-    obs::Span s;
-    s.op_id = tracer_->next_op_id();
-    s.kind = obs::SpanKind::kSyncRead;
-    s.bytes = n;
-    s.enqueue = s.dequeue = s.wire_start = t0;
-    s.wire_end = simnet::sim_now();
-    tracer_->record(s);
-  }
-  stats_.add_read(n);
-  return n;
+  return sync_op<false>([&] {
+    return cache_ != nullptr
+               ? cache_->readv(extents, out)
+               : transfer_extents<false>(pick_strategy(extents), 0, extents,
+                                         out, /*once=*/false);
+  });
 }
 
 std::size_t SemplarFile::writev(const ExtentList& extents, ByteSpan data) {
   if (extents.size() == 1) return write_at(extents[0].offset, data);
   if (extents.empty()) return 0;
-  stats_.add_sync();
-  const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-  const std::size_t n =
-      cache_ != nullptr
-          ? cache_->writev(extents, data)
-          : transfer_extents<true>(pick_strategy(extents), 0, extents, data,
-                                   /*once=*/false);
-  if (tracer_ != nullptr) {
-    obs::Span s;
-    s.op_id = tracer_->next_op_id();
-    s.kind = obs::SpanKind::kSyncWrite;
-    s.bytes = n;
-    s.enqueue = s.dequeue = s.wire_start = t0;
-    s.wire_end = simnet::sim_now();
-    tracer_->record(s);
-  }
-  stats_.add_write(n);
-  return n;
+  return sync_op<true>([&] {
+    return cache_ != nullptr
+               ? cache_->writev(extents, data)
+               : transfer_extents<true>(pick_strategy(extents), 0, extents,
+                                        data, /*once=*/false);
+  });
 }
 
 mpiio::IoRequest SemplarFile::ireadv(const ExtentList& extents,
                                      MutByteSpan out) {
   if (extents.size() == 1) return iread_at(extents[0].offset, out);
-  if (cache_ != nullptr && !extents.empty()) {
-    // Mirror the cached iread_at: one engine task, cache-granular access.
-    const double issued = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-    return engine_->submit([this, extents, out, issued] {
-      const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-      const std::size_t n = cache_->readv(extents, out);
-      if (tracer_ != nullptr) {
-        obs::Span s;
-        s.op_id = tracer_->next_op_id();
-        s.kind = obs::SpanKind::kIread;
-        s.bytes = n;
-        s.enqueue = issued;
-        s.dequeue = s.wire_start = t0;
-        s.wire_end = simnet::sim_now();
-        tracer_->record(s);
-      }
-      stats_.add_read(n);
-      return n;
-    });
-  }
+  // Mirror the cached iread_at: one engine task, cache-granular access.
+  if (cache_ != nullptr && !extents.empty())
+    return submit_cached<false>(
+        [this, extents, out] { return cache_->readv(extents, out); });
   return submit_extents<false>(extents, out);
 }
 
 mpiio::IoRequest SemplarFile::iwritev(const ExtentList& extents,
                                       ByteSpan data) {
   if (extents.size() == 1) return iwrite_at(extents[0].offset, data);
-  if (cache_ != nullptr && !extents.empty()) {
-    const double issued = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-    return engine_->submit([this, extents, data, issued] {
-      const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-      const std::size_t n = cache_->writev(extents, data);
-      if (tracer_ != nullptr) {
-        obs::Span s;
-        s.op_id = tracer_->next_op_id();
-        s.kind = obs::SpanKind::kIwrite;
-        s.bytes = n;
-        s.enqueue = issued;
-        s.dequeue = s.wire_start = t0;
-        s.wire_end = simnet::sim_now();
-        tracer_->record(s);
-      }
-      stats_.add_write(n);
-      return n;
-    });
-  }
+  if (cache_ != nullptr && !extents.empty())
+    return submit_cached<true>(
+        [this, extents, data] { return cache_->writev(extents, data); });
   return submit_extents<true>(extents, data);
 }
 
 mpiio::IoRequest SemplarFile::iread_at(std::uint64_t offset, MutByteSpan out) {
-  if (cache_ != nullptr) {
-    // One engine task; hits complete without touching the wire, misses do
-    // one striped-equivalent fetch inside the cache. The request still
-    // overlaps with compute exactly like the uncached async path.
-    const double issued = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-    return engine_->submit([this, offset, out, issued] {
-      const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-      const std::size_t n = cache_->read(offset, out);
-      if (tracer_ != nullptr) {
-        obs::Span s;
-        s.op_id = tracer_->next_op_id();
-        s.kind = obs::SpanKind::kIread;
-        s.bytes = n;
-        s.enqueue = issued;
-        s.dequeue = s.wire_start = t0;
-        s.wire_end = simnet::sim_now();
-        tracer_->record(s);
-      }
-      stats_.add_read(n);
-      return n;
-    });
-  }
+  // Cached: one engine task; hits complete without touching the wire,
+  // misses do one striped-equivalent fetch inside the cache. The request
+  // still overlaps with compute exactly like the uncached async path.
+  if (cache_ != nullptr)
+    return submit_cached<false>(
+        [this, offset, out] { return cache_->read(offset, out); });
   return submit_striped<false>(offset, out);
 }
 
@@ -642,25 +572,9 @@ mpiio::IoRequest SemplarFile::iread_redundant(std::uint64_t offset, MutByteSpan 
 }
 
 mpiio::IoRequest SemplarFile::iwrite_at(std::uint64_t offset, ByteSpan data) {
-  if (cache_ != nullptr) {
-    const double issued = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-    return engine_->submit([this, offset, data, issued] {
-      const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
-      const std::size_t n = cache_->write(offset, data);
-      if (tracer_ != nullptr) {
-        obs::Span s;
-        s.op_id = tracer_->next_op_id();
-        s.kind = obs::SpanKind::kIwrite;
-        s.bytes = n;
-        s.enqueue = issued;
-        s.dequeue = s.wire_start = t0;
-        s.wire_end = simnet::sim_now();
-        tracer_->record(s);
-      }
-      stats_.add_write(n);
-      return n;
-    });
-  }
+  if (cache_ != nullptr)
+    return submit_cached<true>(
+        [this, offset, data] { return cache_->write(offset, data); });
   return submit_striped<true>(offset, data);
 }
 

@@ -20,7 +20,6 @@
 #include "core/config.hpp"
 #include "core/stream_pool.hpp"
 #include "mpiio/adio.hpp"
-#include "obs/reporter.hpp"
 #include "obs/tracer.hpp"
 #include "srb/generation.hpp"
 
@@ -90,6 +89,26 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   /// Publishes our dirty data's visibility: bumps the generation after a
   /// flush that wrote anything (and remembers it so we don't self-invalidate).
   void publish_generation();
+
+  /// The synchronous verbs' one span site: counts the call, runs `io` on
+  /// the caller's thread, then records its kSyncRead/kSyncWrite span and
+  /// its bytes.
+  template <bool IsWrite, class Io>
+  std::size_t sync_op(Io io);
+
+  /// The cached async verbs' one span site: `io` (cache-granular access)
+  /// runs as one engine task, which records the kIread/kIwrite span from
+  /// issue to completion and the bytes.
+  template <bool IsWrite, class Io>
+  mpiio::IoRequest submit_cached(Io io);
+
+  /// The uncached async verbs' one span site: submits task_for(k) for
+  /// k in [0, active) as supervised engine tasks joined into one master
+  /// request, which completes (and records its kIread/kIwrite span) when
+  /// the last task reaches its final outcome.
+  template <bool IsWrite, class TaskFor>
+  mpiio::IoRequest submit_joined(int active, TaskFor task_for);
+
   /// Plans a striped transfer: stream s handles chunks s, s+S, s+2S, ...
   /// of `stripe_size` each, and the whole per-stream series runs as one
   /// FIFO task so chunks on a stream stay ordered while streams proceed
@@ -112,20 +131,18 @@ class SemplarFile final : public mpiio::adio::FileHandle,
 
   /// Async flavour of the strategy transfer: partitions the list count-
   /// evenly across the file's streams, one supervised engine task per
-  /// stream, joined into one master request (same StripeJoin bookkeeping
-  /// as submit_striped).
+  /// stream, joined into one master request (submit_joined).
   template <bool IsWrite, class Span>
   mpiio::IoRequest submit_extents(const ExtentList& extents, Span data);
 
   Config cfg_;
   Stats stats_;
   // Declared before the layers that record into it: members are destroyed
-  // in reverse order, so the tracer outlives pool/engine/cache/reporter.
+  // in reverse order, so the tracer outlives pool/engine/cache.
   std::unique_ptr<obs::Tracer> tracer_;  // null when cfg_.obs.enabled == false
   std::unique_ptr<StreamPool> streams_;
   std::unique_ptr<AsyncEngine> engine_;
   std::unique_ptr<cache::BlockCache> cache_;  // null when cfg_.cache_bytes == 0
-  std::unique_ptr<obs::TextReporter> reporter_;  // periodic text reports
   std::atomic<unsigned> rr_{0};               // backend stream round-robin
   std::string writer_tag_;                    // this handle's generation tag
   srb::Generation last_gen_;                  // last generation we observed

@@ -1,6 +1,6 @@
 // Per-file SEMPLAR instrumentation: logical and wire byte counts, task
-// counts, queue depth high-water mark, I/O-thread busy time, and the block
-// cache's hit/miss/prefetch/coalescing counters. Snapshots feed
+// counts, queue depth high-water mark, and the block cache's
+// hit/miss/prefetch/coalescing counters. Snapshots feed
 // EXPERIMENTS.md's overlap and bandwidth numbers.
 #pragma once
 
@@ -23,7 +23,6 @@ struct StatsSnapshot {
   /// Deterministic for a given access pattern — the noncontiguous ablation
   /// gates on it.
   std::uint64_t wire_ops = 0;
-  double io_busy_sim = 0.0;  // simulated seconds I/O threads spent on tasks
 
   std::uint64_t steals = 0;  // Always 0; perfbench/src/ladder.cpp prints it.
   // Engine sleep protocol: parks counts I/O-thread waits on an empty
@@ -65,10 +64,6 @@ class Stats {
            !queue_peak_.compare_exchange_weak(cur, d, std::memory_order_relaxed)) {
     }
   }
-  void add_busy(double sim_seconds) {
-    // Atomic add on double via CAS (C++20 fetch_add on atomic<double>).
-    io_busy_sim_.fetch_add(sim_seconds, std::memory_order_relaxed);
-  }
   void add_park() { ++parks_; }
   void add_wake() { ++wakes_; }
   void add_reconnect() { ++reconnects_; }
@@ -93,7 +88,6 @@ class Stats {
     s.sync_calls = sync_calls_.load(std::memory_order_relaxed);
     s.queue_peak = queue_peak_.load(std::memory_order_relaxed);
     s.wire_ops = wire_ops_.load(std::memory_order_relaxed);
-    s.io_busy_sim = io_busy_sim_.load(std::memory_order_relaxed);
     s.parks = parks_.load(std::memory_order_relaxed);
     s.wakes = wakes_.load(std::memory_order_relaxed);
     s.reconnects = reconnects_.load(std::memory_order_relaxed);
@@ -126,7 +120,6 @@ class Stats {
   std::atomic<std::uint64_t> sync_calls_{0};
   std::atomic<std::uint64_t> queue_peak_{0};
   std::atomic<std::uint64_t> wire_ops_{0};
-  std::atomic<double> io_busy_sim_{0.0};
   std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> wakes_{0};
   std::atomic<std::uint64_t> reconnects_{0};

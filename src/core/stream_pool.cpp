@@ -5,6 +5,7 @@
 
 #include "common/log.hpp"
 #include "mpiio/request.hpp"
+#include "simnet/socket.hpp"
 #include "simnet/timescale.hpp"
 
 namespace remio::semplar {
@@ -81,9 +82,28 @@ void StreamPool::repair_locked(Stream& s, int idx) {
   // Full SRB session re-establishment: dial, login handshake (SrbClient
   // constructor), then reopen the data object *without* create/trunc so a
   // reconnect can never clobber data the first open produced.
-  auto fresh = std::make_shared<srb::SrbClient>(
-      fabric_, cfg_.client_host, cfg_.server_host, cfg_.server_port, cfg_.conn,
-      stream_tag(idx), cfg_.tenant, cfg_.integrity.wire_checksums);
+  std::shared_ptr<srb::SrbClient> fresh;
+  try {
+    fresh = std::make_shared<srb::SrbClient>(
+        fabric_, cfg_.client_host, cfg_.server_host, cfg_.server_port,
+        cfg_.conn, stream_tag(idx), cfg_.tenant, cfg_.integrity.wire_checksums);
+  } catch (const srb::SrbError& e) {
+    // The login exchange carries no checksum, so a frame damaged in flight
+    // can come back as any broker status. This stream logged in with the
+    // same name, tenant and features before: report a transient dial
+    // failure so the retry loop redials instead of failing the op.
+    if (e.retryable()) throw;
+    throw simnet::NetError(
+        std::string("reconnect handshake failed: ") + e.what(),
+        {remio::ErrorDomain::kTransport, 0, /*retryable=*/true, "connect"});
+  }
+  // A damaged feature word can also negotiate checksums away without any
+  // error; a repair must keep the wire protection the stream had.
+  if (s.client != nullptr &&
+      fresh->wire_checksums() != s.client->wire_checksums())
+    throw simnet::NetError(
+        "reconnect negotiated different wire checksums",
+        {remio::ErrorDomain::kTransport, 0, /*retryable=*/true, "connect"});
   const std::int32_t fd = fresh->open(path_, reopen_flags_);
   if (s.client != nullptr) {
     // Keep lifetime wire totals monotone across the client swap.
@@ -122,8 +142,8 @@ auto StreamPool::once(int requested, Fn&& fn) {
       if (e.domain() == remio::ErrorDomain::kIntegrity) {
         if (stats_ != nullptr) stats_->add_corruption_detected();
         if (tracer_ != nullptr)
-          tracer_->note_instant(obs::SpanKind::kIntegrity, 0,
-                                static_cast<std::int16_t>(requested));
+          tracer_->record_instant(obs::SpanKind::kIntegrity, simnet::sim_now(),
+                                  0, static_cast<std::int16_t>(requested));
       }
       throw;
     }
@@ -169,8 +189,8 @@ auto StreamPool::once(int requested, Fn&& fn) {
       if (e.domain() == remio::ErrorDomain::kIntegrity) {
         if (stats_ != nullptr) stats_->add_corruption_detected();
         if (tracer_ != nullptr)
-          tracer_->note_instant(obs::SpanKind::kIntegrity, 0,
-                                static_cast<std::int16_t>(idx));
+          tracer_->record_instant(obs::SpanKind::kIntegrity, simnet::sim_now(),
+                                  0, static_cast<std::int16_t>(idx));
       }
       throw;
     }
@@ -223,14 +243,10 @@ class WireTrace {
   WireTrace(obs::Tracer* tracer, int idx)
       : tracer_(tracer),
         idx_(idx),
-        t0_(tracer != nullptr ? simnet::sim_now() : 0.0) {
-    if (tracer_ != nullptr)
-      tracer_->gauge(obs::GaugeId::kWireInflight).add(1);
-  }
+        t0_(tracer != nullptr ? simnet::sim_now() : 0.0) {}
 
   ~WireTrace() {
     if (tracer_ == nullptr) return;
-    tracer_->gauge(obs::GaugeId::kWireInflight).add(-1);
     obs::Span s;
     if (obs::Span* op = obs::current_op_span()) {
       s.op_id = op->op_id;  // tie the wire lane to the engine task

@@ -65,9 +65,6 @@ void Tracer::record(Span s) {
   s.wire_end = std::max(s.wire_end, s.wire_start);
   if (s.tid == 0) s.tid = this_thread_tid();
   ring_for_this_thread().push(s);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
-  latency_[static_cast<std::size_t>(s.kind)].record(s.latency());
-  if (s.kind == SpanKind::kTask) queue_wait_.record(s.queue_wait());
 }
 
 void Tracer::record_instant(SpanKind kind, double t, std::uint64_t bytes,
@@ -83,25 +80,10 @@ void Tracer::record_instant(SpanKind kind, double t, std::uint64_t bytes,
 
 void Tracer::note_instant(SpanKind kind, std::uint64_t bytes,
                           std::int16_t stream) {
-  const std::uint64_t seq = ring_for_this_thread().note(kind, bytes);
   // The clock read and the ring push are the expensive parts; only the
   // sampled representatives pay them.
-  if (seq % kNoteSampleEvery == 0)
+  if (ring_for_this_thread().next_note() % kNoteSampleEvery == 0)
     record_instant(kind, simnet::sim_now(), bytes, stream);
-}
-
-std::uint64_t Tracer::noted(SpanKind kind) const {
-  std::lock_guard lk(reg_mu_);
-  std::uint64_t total = 0;
-  for (const auto& e : rings_) total += e.ring->noted(kind);
-  return total;
-}
-
-std::uint64_t Tracer::noted_bytes(SpanKind kind) const {
-  std::lock_guard lk(reg_mu_);
-  std::uint64_t total = 0;
-  for (const auto& e : rings_) total += e.ring->noted_bytes(kind);
-  return total;
 }
 
 std::vector<Span> Tracer::snapshot() const {
@@ -127,6 +109,13 @@ std::uint64_t Tracer::dropped() const {
   std::lock_guard lk(reg_mu_);
   std::uint64_t total = 0;
   for (const auto& e : rings_) total += e.ring->dropped();
+  return total;
+}
+
+std::uint64_t Tracer::recorded() const {
+  std::lock_guard lk(reg_mu_);
+  std::uint64_t total = 0;
+  for (const auto& e : rings_) total += e.ring->recorded();
   return total;
 }
 

@@ -1,9 +1,11 @@
 // Lock-light span tracer. Each recording thread owns a private ring buffer
 // (drop-oldest, bounded, so tracing overhead and memory are capped no
-// matter how long a run is); the only cross-thread synchronization on the
-// hot path is the ring's own mutex, which is uncontended because exactly
-// one thread writes each ring — snapshots (exporters / the periodic
-// reporter) take it briefly to copy.
+// matter how long a run is); recording a span takes only the ring's own
+// mutex, which is uncontended because exactly one thread writes each
+// ring — snapshots (exporters, the analyzer) take it briefly to copy.
+// Spans are all the tracer keeps: counts live in semplar::Stats,
+// and queue depth, wire occupancy and replay backlog are rebuilt from the
+// kTask, kWire and kBackoff spans.
 //
 // One Tracer instance per open SEMPLAR file (mirroring Stats), so per-rank
 // overlap analysis falls out naturally. Tracer ids are process-unique and
@@ -13,7 +15,6 @@
 // shared_ptr) is alive.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -22,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/histogram.hpp"
 #include "obs/span.hpp"
 
 namespace remio::obs {
@@ -65,27 +65,15 @@ class SpanRing {
     return buf_.size();
   }
 
-  /// Owner-thread-only event counter bump: exactly one thread writes each
-  /// ring, so plain relaxed load/store (no RMW lock prefix) is enough, and
-  /// readers aggregate with relaxed loads. Returns the pre-increment count
-  /// so the caller can make a sampling decision.
-  std::uint64_t note(SpanKind kind, std::uint64_t bytes) {
-    auto& c = note_count_[static_cast<std::size_t>(kind)];
-    auto& b = note_bytes_[static_cast<std::size_t>(kind)];
-    const std::uint64_t seq = c.load(std::memory_order_relaxed);
-    c.store(seq + 1, std::memory_order_relaxed);
-    b.store(b.load(std::memory_order_relaxed) + bytes,
-            std::memory_order_relaxed);
-    return seq;
+  /// Every span ever pushed: the live ones plus those dropped.
+  std::uint64_t recorded() const {
+    std::lock_guard lk(mu_);
+    return buf_.size() + dropped_;
   }
-  std::uint64_t noted(SpanKind kind) const {
-    return note_count_[static_cast<std::size_t>(kind)].load(
-        std::memory_order_relaxed);
-  }
-  std::uint64_t noted_bytes(SpanKind kind) const {
-    return note_bytes_[static_cast<std::size_t>(kind)].load(
-        std::memory_order_relaxed);
-  }
+
+  /// note_instant's sampling sequence, pre-increment value. A plain
+  /// counter: only the ring's one writer thread touches it.
+  std::uint64_t next_note() { return notes_++; }
 
  private:
   mutable std::mutex mu_;
@@ -93,49 +81,7 @@ class SpanRing {
   std::size_t cap_;
   std::size_t head_ = 0;  // index of the oldest span once the ring is full
   std::uint64_t dropped_ = 0;
-  std::array<std::atomic<std::uint64_t>,
-             static_cast<std::size_t>(SpanKind::kCount)>
-      note_count_{};
-  std::array<std::atomic<std::uint64_t>,
-             static_cast<std::size_t>(SpanKind::kCount)>
-      note_bytes_{};
-};
-
-/// Instantaneous value + high-water mark, updated with relaxed atomics.
-class Gauge {
- public:
-  void add(std::int64_t delta) {
-    const std::int64_t now =
-        value_.fetch_add(delta, std::memory_order_relaxed) + delta;
-    std::int64_t peak = max_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !max_.compare_exchange_weak(peak, now, std::memory_order_relaxed))
-      ;
-  }
-  /// Absolute update, for gauges mirroring an externally-tracked quantity
-  /// (dirty bytes). Caller serializes (e.g. under the owner's lock).
-  void set(std::int64_t v) {
-    value_.store(v, std::memory_order_relaxed);
-    std::int64_t peak = max_.load(std::memory_order_relaxed);
-    while (v > peak &&
-           !max_.compare_exchange_weak(peak, v, std::memory_order_relaxed))
-      ;
-  }
-
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  std::int64_t max() const { return max_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-  std::atomic<std::int64_t> max_{0};
-};
-
-enum class GaugeId : std::uint8_t {
-  kQueueDepth = 0,   // AsyncEngine FIFO occupancy
-  kDeferredBacklog,  // supervised replays parked in the timer heap
-  kWireInflight,     // transfers currently occupying some TCP stream
-  kDirtyBytes,       // write-behind buffered bytes awaiting flush
-  kCount
+  std::uint64_t notes_ = 0;
 };
 
 class Tracer {
@@ -150,8 +96,7 @@ class Tracer {
     return next_op_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Records a finished span into the calling thread's ring and feeds the
-  /// per-kind latency histogram and the queue-wait histogram. Timestamps
+  /// Records a finished span into the calling thread's ring. Timestamps
   /// are normalized so the lifecycle invariant always holds on readback.
   void record(Span s);
 
@@ -160,27 +105,14 @@ class Tracer {
                       std::int16_t stream = -1);
 
   /// Ultra-hot-path events (cache hits fire per application read, with a
-  /// nanoseconds budget): every call is counted on the calling thread's
-  /// ring (single-writer, no RMW), but only one in kNoteSampleEvery is
+  /// nanoseconds budget): only one call in kNoteSampleEvery per thread is
   /// materialized as a ring span — the clock read and ring push are what
-  /// cost, not the count. Sampling is per thread.
+  /// cost. Exact event counts belong in the caller's own counters
+  /// (CacheCounters::hits); rare events that must each leave a span use
+  /// record_instant.
   static constexpr std::uint64_t kNoteSampleEvery = 64;
   void note_instant(SpanKind kind, std::uint64_t bytes = 0,
                     std::int16_t stream = -1);
-
-  /// Total note_instant events / bytes per kind, summed across threads.
-  std::uint64_t noted(SpanKind kind) const;
-  std::uint64_t noted_bytes(SpanKind kind) const;
-
-  Gauge& gauge(GaugeId id) { return gauges_[static_cast<std::size_t>(id)]; }
-  const Gauge& gauge(GaugeId id) const {
-    return gauges_[static_cast<std::size_t>(id)];
-  }
-
-  const Histogram& latency(SpanKind kind) const {
-    return latency_[static_cast<std::size_t>(kind)];
-  }
-  const Histogram& queue_wait() const { return queue_wait_; }
 
   /// Merged oldest-first snapshot across every thread's ring, sorted by
   /// (enqueue, op_id). Safe to call while producers keep recording.
@@ -190,9 +122,7 @@ class Tracer {
   std::uint64_t dropped() const;
 
   /// Total spans recorded (including since-dropped ones).
-  std::uint64_t recorded() const {
-    return recorded_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recorded() const;
 
   std::size_t ring_capacity() const { return ring_capacity_; }
   std::uint64_t id() const { return id_; }
@@ -203,7 +133,6 @@ class Tracer {
   const std::uint64_t id_;
   const std::size_t ring_capacity_;
   std::atomic<std::uint64_t> next_op_{0};
-  std::atomic<std::uint64_t> recorded_{0};
 
   // One ring per recording thread, tagged with its owner so a thread whose
   // cache slot was evicted (it recorded through another tracer in between)
@@ -214,10 +143,6 @@ class Tracer {
   };
   mutable std::mutex reg_mu_;
   std::vector<RingEntry> rings_;
-
-  std::array<Histogram, static_cast<std::size_t>(SpanKind::kCount)> latency_{};
-  Histogram queue_wait_;
-  std::array<Gauge, static_cast<std::size_t>(GaugeId::kCount)> gauges_{};
 };
 
 /// The engine-task span currently executing on this thread, if any. Lets

@@ -65,9 +65,16 @@ void FaultInjector::unban(const std::string& tag_substr) {
   bans_.erase(std::remove(bans_.begin(), bans_.end(), tag_substr), bans_.end());
 }
 
+std::array<Rng, FaultInjector::kStreamCount> FaultInjector::streams_for(
+    std::uint64_t s) {
+  std::array<Rng, kStreamCount> streams;
+  streams.fill(Rng(s));
+  return streams;
+}
+
 void FaultInjector::seed(std::uint64_t s) {
   std::lock_guard lk(mu_);
-  rng_ = Rng(s);
+  rng_ = streams_for(s);
 }
 
 std::uint64_t FaultInjector::drops() const {
@@ -103,7 +110,7 @@ bool FaultInjector::fail_connect(const std::string& tag) {
       return true;
     }
   }
-  if (connect_fail_p_ > 0 && rng_.chance(connect_fail_p_)) {
+  if (connect_fail_p_ > 0 && rng_[kConnect].chance(connect_fail_p_)) {
     ++refused_;
     return true;
   }
@@ -117,7 +124,7 @@ bool FaultInjector::drop_send(const std::string& tag) {
     ++drops_;
     return true;
   }
-  if (drop_p_ > 0 && rng_.chance(drop_p_)) {
+  if (drop_p_ > 0 && rng_[kDrop].chance(drop_p_)) {
     ++drops_;
     return true;
   }
@@ -129,15 +136,15 @@ bool FaultInjector::corrupt_send(const std::string& tag, std::uint64_t nbits,
   std::lock_guard lk(mu_);
   if (corrupt_p_ <= 0 || nbits == 0 || !tag_matches(tag, corrupt_tag_))
     return false;
-  if (!rng_.chance(corrupt_p_)) return false;
-  bit = rng_.next() % nbits;
+  if (!rng_[kCorrupt].chance(corrupt_p_)) return false;
+  bit = rng_[kCorrupt].next() % nbits;
   ++corruptions_;
   return true;
 }
 
 double FaultInjector::latency_penalty() {
   std::lock_guard lk(mu_);
-  if (spike_p_ > 0 && rng_.chance(spike_p_)) {
+  if (spike_p_ > 0 && rng_[kSpike].chance(spike_p_)) {
     ++spikes_;
     return spike_s_;
   }

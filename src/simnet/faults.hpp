@@ -21,8 +21,16 @@
 // Tags: SrbClient dials with its client name as the connection tag
 // (e.g. "semplar/node0/s1"), so `arm_kill("s1")` / `ban("s1")` target one
 // stream of one node by substring match.
+//
+// Each fault kind draws from its own generator: a kind's k-th decision
+// depends only on its own stream, so how many drops (or corruptions) the
+// first N sends suffer does not depend on how client and server sends
+// interleave across threads. Which frame a fault hits still does. seed()
+// starts every stream from the same state, so a run with one fault kind
+// enabled draws exactly the sequence one shared generator would.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -57,6 +65,7 @@ class FaultInjector {
   /// Refuses every dial whose tag contains `tag_substr` until unban().
   void ban(const std::string& tag_substr);
   void unban(const std::string& tag_substr);
+  /// Reseeds every fault kind's decision stream from `s`.
   void seed(std::uint64_t s);
 
   // --- observability -------------------------------------------------------
@@ -82,8 +91,11 @@ class FaultInjector {
                     std::uint64_t& bit);
 
  private:
+  enum Stream { kConnect, kDrop, kSpike, kCorrupt, kStreamCount };
+  static std::array<Rng, kStreamCount> streams_for(std::uint64_t s);
+
   mutable std::mutex mu_;
-  Rng rng_{0x7a017a01u};
+  std::array<Rng, kStreamCount> rng_ = streams_for(0x7a017a01u);
   double drop_p_ = 0.0;
   double connect_fail_p_ = 0.0;
   double spike_p_ = 0.0;

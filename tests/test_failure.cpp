@@ -553,6 +553,11 @@ TEST_F(SupervisedFailureTest, RandomizedCorruptionIsNeverSilent) {
   EXPECT_GE(snap.corruptions_detected, 1u);
   EXPECT_GE(snap.integrity_retries, 1u);
   EXPECT_EQ(snap.reconnects, 0u);  // integrity errors stay on their stream
+  // Every detection leaves its own kIntegrity span, not a sample.
+  std::uint64_t integrity_spans = 0;
+  for (const obs::Span& s : f.handle().tracer()->snapshot())
+    if (s.kind == obs::SpanKind::kIntegrity) ++integrity_spans;
+  EXPECT_EQ(integrity_spans, snap.corruptions_detected);
   faults_->set_corrupt_probability(0.0);
   f.close();
 
@@ -625,6 +630,60 @@ TEST_F(SupervisedFailureTest, DropsAndCorruptionTogetherStillConverge) {
   faults_->set_drop_probability(0.0);
   faults_->set_corrupt_probability(0.0);
   f.close();
+}
+
+TEST_F(SupervisedFailureTest, GarbledReconnectHandshakeIsRetried) {
+  // The login exchange carries no checksum, so a drop followed by a damaged
+  // re-login must read as a transient dial failure, never as a broker
+  // verdict that ends the op.
+  semplar::Config cfg = retry_config();
+  cfg.retry.max_attempts = 3;
+  semplar::SrbfsDriver driver(fabric_, cfg);
+  mpiio::File f(driver, "/s/relogin", kRwc);
+  const Bytes data(16 * 1024, 'h');
+  faults_->arm_kill();  // the next send dies, forcing a repair...
+  faults_->set_corrupt_probability(1.0, "semplar/");  // ...over a bad line
+  try {
+    f.write_at(0, ByteSpan(data.data(), data.size()));
+    FAIL() << "expected every repair over a corrupting line to fail";
+  } catch (const StatusError& e) {
+    EXPECT_TRUE(e.retryable()) << e.what();
+  }
+  EXPECT_EQ(file_of(f).stats().snapshot().reconnects, 0u);
+  // Once the line is clean the same handle re-logs in and serves.
+  faults_->set_corrupt_probability(0.0);
+  EXPECT_EQ(f.write_at(0, ByteSpan(data.data(), data.size())), data.size());
+  Bytes back(data.size());
+  EXPECT_EQ(f.read_at(0, MutByteSpan(back.data(), back.size())), back.size());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(file_of(f).stats().snapshot().reconnects, 1u);
+  f.close();
+}
+
+TEST_F(SupervisedFailureTest, RepairNeverDropsWireChecksums) {
+  // A damaged feature word can negotiate a session down without any error;
+  // a broker that really stopped granting checksums looks the same to the
+  // client. Either way a repaired stream must not run unprotected.
+  semplar::Config cfg = retry_config();
+  cfg.retry.max_attempts = 3;
+  semplar::SrbfsDriver driver(fabric_, cfg);
+  mpiio::File f(driver, "/s/downgrade", kRwc);
+  const Bytes data(16 * 1024, 'd');
+  EXPECT_EQ(f.write_at(0, ByteSpan(data.data(), data.size())), data.size());
+  server_->stop();
+  srb::ServerConfig plain;
+  plain.wire_checksums = false;
+  server_ = std::make_unique<srb::SrbServer>(fabric_, plain);
+  server_->start();
+  try {
+    f.write_at(0, ByteSpan(data.data(), data.size()));
+    FAIL() << "expected the repair to refuse an unchecksummed session";
+  } catch (const StatusError& e) {
+    EXPECT_TRUE(e.retryable()) << e.what();
+    EXPECT_NE(std::string(e.what()).find("checksums"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(file_of(f).stats().snapshot().reconnects, 0u);
 }
 
 // ---------------------------------------------------------------------------

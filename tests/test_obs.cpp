@@ -1,6 +1,6 @@
 // Observability layer: span lifecycle invariants, histogram bucket
-// boundaries, drop-oldest rings, sampled hot-path notes, gauges, the
-// overlap analyzer against closed-form constructions, and a multi-producer
+// boundaries, drop-oldest rings, sampled hot-path notes, the overlap
+// analyzer against closed-form constructions, and a multi-producer
 // concurrency test (meaningful under TSan) where exporter snapshots race
 // recording threads.
 #include <gtest/gtest.h>
@@ -82,7 +82,7 @@ TEST(TracerTest, SnapshotSortedAndEveryRecordedSpanWellFormed) {
 }
 
 // No orphans after drain: every engine task that was issued has a recorded
-// span with a final timestamp; queue-depth and backlog gauges return to 0.
+// span with a final timestamp.
 TEST(TracerTest, EngineDrainLeavesNoOrphanSpans) {
   simnet::ScopedTimeScale scale(2000.0);
   Tracer tracer(1024);
@@ -105,9 +105,6 @@ TEST(TracerTest, EngineDrainLeavesNoOrphanSpans) {
       }
     }
     EXPECT_EQ(tasks, 50u);
-    EXPECT_EQ(tracer.gauge(GaugeId::kQueueDepth).value(), 0);
-    EXPECT_EQ(tracer.gauge(GaugeId::kDeferredBacklog).value(), 0);
-    EXPECT_GE(tracer.gauge(GaugeId::kQueueDepth).max(), 1);
   }
 }
 
@@ -135,8 +132,6 @@ TEST(TracerTest, RingOverflowCountsDropsButKeepsRecordedTotal) {
   EXPECT_EQ(tracer.recorded(), 20u);
   EXPECT_EQ(tracer.dropped(), 12u);
   EXPECT_EQ(tracer.snapshot().size(), 8u);
-  // Histograms see every record, not just ring survivors.
-  EXPECT_EQ(tracer.latency(SpanKind::kWire).count(), 20u);
 }
 
 TEST(TracerTest, ThreadAlternatingBetweenTracersReusesItsRing) {
@@ -163,13 +158,11 @@ TEST(TracerTest, ThreadAlternatingBetweenTracersReusesItsRing) {
 
 // --- sampled notes ----------------------------------------------------------
 
-TEST(TracerTest, NoteInstantCountsAllSamplesSome) {
+TEST(TracerTest, NoteInstantSamplesOneIn64) {
   Tracer tracer(4096);
   const std::uint64_t n = 1000;
   for (std::uint64_t i = 0; i < n; ++i)
     tracer.note_instant(SpanKind::kCacheHit, 4096);
-  EXPECT_EQ(tracer.noted(SpanKind::kCacheHit), n);
-  EXPECT_EQ(tracer.noted_bytes(SpanKind::kCacheHit), n * 4096);
   // Single thread, seq 0..n-1 => samples at 0, 64, 128, ...
   const std::uint64_t expect_sampled = (n - 1) / Tracer::kNoteSampleEvery + 1;
   std::size_t hits = 0;
@@ -209,23 +202,6 @@ TEST(HistogramTest, RecordAccumulatesAndQuantiles) {
   h.reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-}
-
-// --- gauges -----------------------------------------------------------------
-
-TEST(GaugeTest, AddSetAndHighWaterMark) {
-  Gauge g;
-  g.add(3);
-  g.add(4);
-  g.add(-5);
-  EXPECT_EQ(g.value(), 2);
-  EXPECT_EQ(g.max(), 7);
-  g.set(100);
-  EXPECT_EQ(g.value(), 100);
-  EXPECT_EQ(g.max(), 100);
-  g.set(1);
-  EXPECT_EQ(g.value(), 1);
-  EXPECT_EQ(g.max(), 100);
 }
 
 // --- scoped op span ---------------------------------------------------------
@@ -375,9 +351,7 @@ TEST(TracerConcurrencyTest, ProducersRecordWhileExporterSnapshots) {
       const auto spans = tracer.snapshot();
       for (const auto& s : spans) ASSERT_TRUE(well_formed(s));
       (void)tracer.dropped();
-      (void)tracer.noted(SpanKind::kCacheHit);
-      (void)tracer.gauge(GaugeId::kQueueDepth).max();
-      (void)tracer.latency(SpanKind::kTask).count();
+      (void)tracer.recorded();
       std::this_thread::yield();
     }
   });
@@ -393,7 +367,6 @@ TEST(TracerConcurrencyTest, ProducersRecordWhileExporterSnapshots) {
                            static_cast<std::int16_t>(p));
         tracer.record(s);
         tracer.note_instant(SpanKind::kCacheHit, 32);
-        tracer.gauge(GaugeId::kQueueDepth).add(i % 2 == 0 ? 1 : -1);
       }
     });
   }
@@ -401,11 +374,12 @@ TEST(TracerConcurrencyTest, ProducersRecordWhileExporterSnapshots) {
   stop.store(true, std::memory_order_release);
   exporter.join();
 
+  // Every record plus each producer's sampled hits (seq 0, 64, ..., 1984).
+  const std::uint64_t sampled_per_thread =
+      (kPerThread - 1) / Tracer::kNoteSampleEvery + 1;
   EXPECT_EQ(tracer.recorded(),
-            static_cast<std::uint64_t>(kProducers) * kPerThread +
-                tracer.latency(SpanKind::kCacheHit).count());
-  EXPECT_EQ(tracer.noted(SpanKind::kCacheHit),
-            static_cast<std::uint64_t>(kProducers) * kPerThread);
+            static_cast<std::uint64_t>(kProducers) *
+                (kPerThread + sampled_per_thread));
   // Per-thread rings: each producer kept its newest 256 spans.
   EXPECT_GE(tracer.snapshot().size(), static_cast<std::size_t>(kProducers) * 200);
 }
