@@ -306,7 +306,6 @@ mpiio::IoRequest SemplarFile::submit_striped(std::uint64_t offset, Span data) {
 
 SemplarFile::Strategy SemplarFile::pick_strategy(
     const ExtentList& extents) const {
-  if (!cfg_.sieve.enabled) return Strategy::kNaive;
   switch (cfg_.sieve.mode) {
     case Config::Sieve::Mode::kNaive: return Strategy::kNaive;
     case Config::Sieve::Mode::kSieve: return Strategy::kSieve;

@@ -97,13 +97,6 @@ void StreamPool::repair_locked(Stream& s, int idx) {
         std::string("reconnect handshake failed: ") + e.what(),
         {remio::ErrorDomain::kTransport, 0, /*retryable=*/true, "connect"});
   }
-  // A damaged feature word can also negotiate checksums away without any
-  // error; a repair must keep the wire protection the stream had.
-  if (s.client != nullptr &&
-      fresh->wire_checksums() != s.client->wire_checksums())
-    throw simnet::NetError(
-        "reconnect negotiated different wire checksums",
-        {remio::ErrorDomain::kTransport, 0, /*retryable=*/true, "connect"});
   const std::int32_t fd = fresh->open(path_, reopen_flags_);
   if (s.client != nullptr) {
     // Keep lifetime wire totals monotone across the client swap.

@@ -46,16 +46,22 @@ SrbClient::SrbClient(simnet::Fabric& fabric, const std::string& from_host,
   Bytes payload;
   ByteWriter w(payload);
   w.str(client_name);
-  w.str(tenant);  // optional trailing field; old servers never read it
-  // Feature negotiation: appended ONLY when a feature is wanted, so a
-  // checksums-off client stays bit-identical to a pre-integrity client.
+  w.str(tenant);
+  // Feature flags are appended only when a feature is wanted, so a
+  // checksums-off session carries no flags word at all.
   if (wire_checksums) w.u32(kFeatureWireChecksums);
   const Bytes resp = rpc_ok(Op::kConnect, payload, "connect");
   ByteReader r(ByteSpan(resp.data(), resp.size()));
   banner_ = r.str();
-  // An old server never echoes flags; its silence downgrades the session.
-  if (wire_checksums && r.remaining() >= 4)
-    crc_ = (r.u32() & kFeatureWireChecksums) != 0;
+  // The broker grants every feature asked for, so a missing grant can only
+  // mean the (unchecksummed) login exchange was damaged in flight: report
+  // a transient dial failure rather than run the session unprotected.
+  if (wire_checksums &&
+      (r.remaining() < 4 || (r.u32() & kFeatureWireChecksums) == 0))
+    throw simnet::NetError(
+        "connect: wire checksums not granted",
+        {remio::ErrorDomain::kTransport, 0, /*retryable=*/true, "connect"});
+  crc_ = wire_checksums;
 }
 
 SrbClient::~SrbClient() {

@@ -57,10 +57,10 @@ class SrbClient {
   /// logs in under that tenant identity: when the broker runs in
   /// multi-tenant mode the session is confined to /tenants/<tenant> and
   /// subject to its quotas; a single-tenant broker ignores it.
-  /// `wire_checksums` requests per-frame CRC32C protection at connect;
-  /// the session uses it only when the server acks the feature, so a new
-  /// client against an old broker degrades to the unchecked protocol (and
-  /// with it false, the client is wire-identical to a pre-integrity one).
+  /// `wire_checksums` requests per-frame CRC32C protection at connect; a
+  /// login whose reply does not grant it throws a retryable transport
+  /// NetError (the login exchange itself is unchecksummed, so only damage
+  /// in flight can drop the grant).
   SrbClient(simnet::Fabric& fabric, const std::string& from_host,
             const std::string& server_host, int port,
             const simnet::ConnectOptions& opts = {},
@@ -126,7 +126,7 @@ class SrbClient {
   std::uint64_t rpc_count() const {
     return rpc_count_.load(std::memory_order_relaxed);
   }
-  /// True when the connect handshake negotiated per-frame CRC32C.
+  /// True when the session runs per-frame CRC32C (as requested at connect).
   bool wire_checksums() const { return crc_; }
   /// Corrupted response frames this client detected itself (each one also
   /// surfaced as a retryable kIntegrity error).

@@ -8,11 +8,8 @@
 namespace remio::srb {
 
 ObjectStore::ObjectStore(const StoreConfig& cfg)
-    : cfg_(cfg),
-      disk_read_(cfg.disk_read_rate, 0.0, "disk-read"),
-      disk_write_(cfg.disk_write_rate, 0.0, "disk-write") {
-  if (cfg_.checksum_block == 0) cfg_.checksum_block = 64u * 1024;
-}
+    : disk_read_(cfg.disk_read_rate, 0.0, "disk-read"),
+      disk_write_(cfg.disk_write_rate, 0.0, "disk-write") {}
 
 void ObjectStore::create(ObjectId id) {
   std::lock_guard lk(mu_);
@@ -46,8 +43,7 @@ std::shared_ptr<ObjectStore::Object> ObjectStore::find(ObjectId id) const {
 
 void ObjectStore::rehash_range(Object& obj, std::uint64_t begin,
                                std::uint64_t end) const {
-  if (!cfg_.checksums) return;
-  const std::uint64_t bs = cfg_.checksum_block;
+  const std::uint64_t bs = kChecksumBlock;
   const std::uint64_t size = obj.data.size();
   obj.sums.resize(static_cast<std::size_t>((size + bs - 1) / bs));
   if (size == 0 || begin >= end) return;
@@ -63,8 +59,7 @@ void ObjectStore::rehash_range(Object& obj, std::uint64_t begin,
 
 std::int64_t ObjectStore::verify_range(const Object& obj, std::uint64_t begin,
                                        std::uint64_t end) const {
-  if (!cfg_.checksums) return -1;
-  const std::uint64_t bs = cfg_.checksum_block;
+  const std::uint64_t bs = kChecksumBlock;
   const std::uint64_t size = obj.data.size();
   if (size == 0 || begin >= end || begin >= size) return -1;
   const std::uint64_t first = begin / bs;
@@ -173,7 +168,6 @@ bool ObjectStore::corrupt(ObjectId id, std::uint64_t offset) {
 
 ScrubReport ObjectStore::scrub() {
   ScrubReport rep;
-  if (!cfg_.checksums) return rep;
   // Snapshot the object set, then verify per object under its own mutex so
   // live sessions keep making progress on untouched objects.
   std::vector<std::shared_ptr<Object>> snapshot;
@@ -185,7 +179,7 @@ ScrubReport ObjectStore::scrub() {
   for (const auto& obj : snapshot) {
     std::lock_guard lk(obj->mu);
     ++rep.objects;
-    const std::uint64_t bs = cfg_.checksum_block;
+    const std::uint64_t bs = kChecksumBlock;
     rep.blocks += (obj->data.size() + bs - 1) / bs;
     const bool bad = verify_range(*obj, 0, obj->data.size()) >= 0;
     if (bad) {

@@ -3,7 +3,7 @@
 // than writes (cache vs. commit), which is what skews the paper's Fig. 8
 // read gains above the write gains.
 //
-// At-rest integrity: every object carries one CRC32C per checksum_block
+// At-rest integrity: every object carries one CRC32C per kChecksumBlock
 // bytes, recomputed on the blocks a pwrite/truncate touches and verified on
 // the blocks a pread covers. A mismatch throws IntegrityError (the server
 // maps it to kChecksumMismatch, keeping the session); scrub() walks every
@@ -29,12 +29,6 @@ struct StoreConfig {
   /// Bytes per simulated second; 0 = unshaped.
   double disk_read_rate = 0.0;
   double disk_write_rate = 0.0;
-  /// Per-block CRC32C on stored payloads, verified on every read. Default
-  /// ON — detection is always-on; only recovery policy is configurable.
-  bool checksums = true;
-  /// Checksum granularity. Smaller = finer mismatch localization, more
-  /// sums; 64 KB keeps the per-object overhead at 1/16384 of the payload.
-  std::size_t checksum_block = 64u * 1024;
 };
 
 /// A stored block no longer matches its CRC (or the object is quarantined).
@@ -64,6 +58,10 @@ struct ScrubReport {
 
 class ObjectStore {
  public:
+  /// At-rest checksum granularity: 64 KB keeps the per-object overhead at
+  /// 1/16384 of the payload.
+  static constexpr std::uint64_t kChecksumBlock = 64u * 1024;
+
   explicit ObjectStore(const StoreConfig& cfg = {});
 
   /// Ensures the object exists (created empty on first touch).
@@ -100,7 +98,7 @@ class ObjectStore {
 
   /// Verifies every block of every object. Objects with a mismatch are
   /// quarantined; quarantined objects that verify clean again (their bad
-  /// range was rewritten) are healed. No-op report when checksums are off.
+  /// range was rewritten) are healed.
   ScrubReport scrub();
 
   bool is_quarantined(ObjectId id) const;
@@ -109,7 +107,7 @@ class ObjectStore {
   struct Object {
     mutable std::mutex mu;
     Bytes data;
-    /// CRC32C per checksum_block chunk of `data` (empty when disabled).
+    /// CRC32C per kChecksumBlock chunk of `data`.
     std::vector<std::uint32_t> sums;
     bool quarantined = false;
   };
@@ -123,7 +121,6 @@ class ObjectStore {
   std::int64_t verify_range(const Object& obj, std::uint64_t begin,
                             std::uint64_t end) const;
 
-  StoreConfig cfg_;
   mutable std::mutex mu_;
   std::map<ObjectId, std::shared_ptr<Object>> objects_;
   simnet::TokenBucket disk_read_;

@@ -85,12 +85,12 @@ enum OpenFlags : std::uint32_t {
 /// Seek whence, matching POSIX semantics.
 enum class Whence : std::uint8_t { kSet = 0, kCur = 1, kEnd = 2 };
 
-/// Feature bits, negotiated at kConnect: the client appends a flags:u32 as
+/// Feature bits, requested at kConnect: the client appends a flags:u32 as
 /// an optional trailing request field (omitted entirely when it wants no
-/// features, making it bit-identical to a pre-feature client); the server
-/// echoes the accepted subset as an optional trailing response field, only
-/// when the client sent one. Old peers never read the trailing bytes, so
-/// interop falls back to the unadorned protocol in both directions.
+/// features); the broker grants every known feature asked for and echoes
+/// the grant as a trailing response field, only when the client sent one.
+/// A client that asked for a feature and finds no grant treats the login
+/// as damaged in flight (SrbClient throws a retryable NetError).
 enum FeatureFlags : std::uint32_t {
   /// Every post-connect frame carries a CRC32C trailer (see send_frame_crc).
   kFeatureWireChecksums = 1u << 0,

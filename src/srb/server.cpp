@@ -130,10 +130,8 @@ class SrbServer::Session {
     switch (op) {
       case Op::kConnect: {
         (void)r.str();  // client name (logged only)
-        // Optional tenant identity: old clients simply omit it.
         const std::string tenant = r.remaining() > 0 ? r.str() : std::string();
-        // Optional feature flags: appended only by clients that want a
-        // feature, so their absence means a pre-integrity peer.
+        // Feature flags: appended only by clients that want a feature.
         const std::uint32_t asked = r.remaining() >= 4 ? r.u32() : 0;
         if (!r.ok()) return proto_error();
         if (server_.cfg_.tenants.enabled && !tenant.empty()) {
@@ -146,14 +144,13 @@ class SrbServer::Session {
           prefix_ = "/tenants/" + tenant;
           server_.mcat_.make_collection(prefix_);
         }
-        std::uint32_t granted = 0;
-        if (server_.cfg_.wire_checksums)
-          granted = asked & kFeatureWireChecksums;
+        // Every known feature a client asks for is granted.
+        const std::uint32_t granted = asked & kFeatureWireChecksums;
         Bytes body;
         ByteWriter w(body);
         w.str(server_.cfg_.banner);
-        // Echo accepted flags ONLY to a client that sent some: an old
-        // client would misparse trailing bytes it never asked for.
+        // The grant is echoed only to a client that sent flags, so a
+        // checksums-off session carries no flags word in either direction.
         if (asked != 0) w.u32(granted);
         reply(Status::kOk, body);
         // The connect exchange itself is never checksummed (the feature is

@@ -28,10 +28,6 @@ struct ServerConfig {
   /// Multi-tenant mode (src/srb/tenant.hpp). Default OFF: tenant strings
   /// in kConnect are ignored and the broker behaves exactly as before.
   TenantConfig tenants;
-  /// Grants the per-frame CRC32C feature to clients that request it at
-  /// kConnect. OFF makes the broker behave exactly like a pre-integrity
-  /// one (it never echoes flags, so sessions run unchecksummed).
-  bool wire_checksums = true;
 };
 
 class SrbServer {

@@ -660,32 +660,6 @@ TEST_F(SupervisedFailureTest, GarbledReconnectHandshakeIsRetried) {
   f.close();
 }
 
-TEST_F(SupervisedFailureTest, RepairNeverDropsWireChecksums) {
-  // A damaged feature word can negotiate a session down without any error;
-  // a broker that really stopped granting checksums looks the same to the
-  // client. Either way a repaired stream must not run unprotected.
-  semplar::Config cfg = retry_config();
-  cfg.retry.max_attempts = 3;
-  semplar::SrbfsDriver driver(fabric_, cfg);
-  mpiio::File f(driver, "/s/downgrade", kRwc);
-  const Bytes data(16 * 1024, 'd');
-  EXPECT_EQ(f.write_at(0, ByteSpan(data.data(), data.size())), data.size());
-  server_->stop();
-  srb::ServerConfig plain;
-  plain.wire_checksums = false;
-  server_ = std::make_unique<srb::SrbServer>(fabric_, plain);
-  server_->start();
-  try {
-    f.write_at(0, ByteSpan(data.data(), data.size()));
-    FAIL() << "expected the repair to refuse an unchecksummed session";
-  } catch (const StatusError& e) {
-    EXPECT_TRUE(e.retryable()) << e.what();
-    EXPECT_NE(std::string(e.what()).find("checksums"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(file_of(f).stats().snapshot().reconnects, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Config::Retry validation — one check per invariant.
 // ---------------------------------------------------------------------------

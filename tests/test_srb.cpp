@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "simnet/faults.hpp"
@@ -372,7 +373,7 @@ TEST(ObjectStore, ScrubQuarantinesAndHeals) {
   EXPECT_EQ(store.pread(2, MutByteSpan(back.data(), back.size()), 0), 16u);
 }
 
-// --- wire checksums: negotiation + interop ----------------------------------
+// --- wire checksums: request, grant and the off switch -----------------------
 
 TEST_F(SrbTest, WireChecksumsNegotiatedByDefault) {
   auto c = make_client();
@@ -406,25 +407,39 @@ TEST_F(SrbTest, OldClientAgainstNewServerInterops) {
   old_c->close(fd);
 }
 
-TEST_F(SrbTest, NewClientAgainstOldServerDowngrades) {
-  // A server with the feature off behaves like an old broker: it never
-  // echoes flags, and the new client silently downgrades.
-  ServerConfig cfg;
-  cfg.port = 5599;
-  cfg.wire_checksums = false;
-  SrbServer old_server(fabric_, cfg);
-  old_server.start();
-  SrbClient c(fabric_, "node0", "orion", 5599);
-  EXPECT_FALSE(c.wire_checksums());
-  const auto fd = c.open("/crc/downgrade", kRead | kWrite | kCreate);
-  const Bytes data = to_bytes("negotiated off");
-  EXPECT_EQ(c.pwrite(fd, ByteSpan(data.data(), data.size()), 0), data.size());
-  Bytes back(data.size());
-  EXPECT_EQ(c.pread(fd, MutByteSpan(back.data(), back.size()), 0), data.size());
-  EXPECT_EQ(back, data);
-  c.close(fd);
-  c.disconnect();
-  old_server.stop();
+TEST_F(SrbTest, MissingChecksumGrantFailsTheDialRetryably) {
+  // The broker grants every feature a client asks for, so a login reply
+  // without the grant can only have been damaged in flight (the login
+  // exchange carries no checksum). The dial must fail retryably instead of
+  // running the session unprotected. The peer here answers kConnect with a
+  // bare banner: first with no flags word, then with the bit clear.
+  auto acceptor = fabric_.listen("orion", 5599);
+  std::thread peer([&acceptor] {
+    for (int round = 0; round < 2; ++round) {
+      auto sock = acceptor->accept();
+      if (!sock) return;
+      Bytes request;
+      if (!recv_frame(**sock, request)) return;
+      Bytes body;
+      ByteWriter w(body);
+      w.str("remio-srb 3.2.1-sim");
+      if (round == 1) w.u32(0);
+      send_frame2(**sock, 0, ByteSpan(body.data(), body.size()));
+    }
+  });
+  for (int round = 0; round < 2; ++round) {
+    try {
+      SrbClient c(fabric_, "node0", "orion", 5599);
+      ADD_FAILURE() << "round " << round << ": expected the dial to fail";
+    } catch (const remio::StatusError& e) {
+      EXPECT_TRUE(e.retryable()) << e.what();
+      EXPECT_EQ(e.domain(), remio::ErrorDomain::kTransport) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "round " << round << ": " << e.what();
+    }
+  }
+  acceptor->close();
+  peer.join();
 }
 
 TEST_F(SrbTest, WireOverheadIsExactlyFourBytesPerFrame) {
