@@ -260,10 +260,10 @@ int main(int argc, char** argv) {
     fds.push_back(fd);
     const auto st = admin.stat(path);
     if (st.has_value())
-      tb.server().store().corrupt(st->object_id, 70000);  // second 64 K block
+      tb.server().store().corrupt(st->object_id, 70000);  // checksum block 17
   }
   const srb::SrbClient::ScrubResult dirty = admin.scrub();
-  for (const auto fd : fds)  // rewrite the damaged block, then heal
+  for (const auto fd : fds)  // rewrite [64 K, 128 K), which holds block 17
     admin.pwrite(fd, ByteSpan(blob.data() + 65536, 65536), 65536);
   const srb::SrbClient::ScrubResult healed = admin.scrub();
   for (const auto fd : fds) admin.close(fd);

@@ -10,6 +10,13 @@
 //     needs no global -msse4.2), or the ARMv8 CRC extension when the
 //     compiler was targeted at it.
 //
+// On x86-64 the hardware path is a three-lane kernel. The instruction takes
+// three cycles but a new one can start every cycle, so inputs of 768 B or
+// more hash three adjacent segments in independent chains (8 KiB segments
+// while at least 24 KiB remain, then 256 B) and fold them with two
+// compile-time shift tables; shorter inputs and the last < 768 B run one
+// chain.
+//
 // The CRC is the standard reflected variant (init 0xFFFFFFFF, final XOR),
 // matching iSCSI / ext4 / RFC 3720: crc32c("123456789") == 0xE3069283.
 #pragma once

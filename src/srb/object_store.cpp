@@ -41,39 +41,45 @@ std::shared_ptr<ObjectStore::Object> ObjectStore::find(ObjectId id) const {
   return it->second;
 }
 
+namespace {
+
+/// Hands visit(block, crc) the CRC of every kChecksumBlock block that
+/// overlaps [begin, end) of `data`, in order, until visit returns false.
+template <class Visit>
+void walk_blocks(const Bytes& data, std::uint64_t begin, std::uint64_t end,
+                 Visit visit) {
+  const std::uint64_t bs = ObjectStore::kChecksumBlock;
+  end = std::min<std::uint64_t>(end, data.size());
+  if (begin >= end) return;
+  for (std::uint64_t lo = begin / bs * bs; lo < end; lo += bs) {
+    const std::uint64_t hi = std::min<std::uint64_t>(lo + bs, data.size());
+    if (!visit(lo / bs, crc32c(ByteSpan(data.data() + lo,
+                                        static_cast<std::size_t>(hi - lo)))))
+      return;
+  }
+}
+
+}  // namespace
+
 void ObjectStore::rehash_range(Object& obj, std::uint64_t begin,
                                std::uint64_t end) const {
   const std::uint64_t bs = kChecksumBlock;
-  const std::uint64_t size = obj.data.size();
-  obj.sums.resize(static_cast<std::size_t>((size + bs - 1) / bs));
-  if (size == 0 || begin >= end) return;
-  const std::uint64_t first = begin / bs;
-  const std::uint64_t last = (std::min(end, size) - 1) / bs;
-  for (std::uint64_t b = first; b <= last && b * bs < size; ++b) {
-    const std::uint64_t lo = b * bs;
-    const std::uint64_t hi = std::min(lo + bs, size);
-    obj.sums[static_cast<std::size_t>(b)] = crc32c(
-        ByteSpan(obj.data.data() + lo, static_cast<std::size_t>(hi - lo)));
-  }
+  obj.sums.resize(static_cast<std::size_t>((obj.data.size() + bs - 1) / bs));
+  walk_blocks(obj.data, begin, end, [&](std::uint64_t b, std::uint32_t crc) {
+    obj.sums[static_cast<std::size_t>(b)] = crc;
+    return true;
+  });
 }
 
 std::int64_t ObjectStore::verify_range(const Object& obj, std::uint64_t begin,
                                        std::uint64_t end) const {
-  const std::uint64_t bs = kChecksumBlock;
-  const std::uint64_t size = obj.data.size();
-  if (size == 0 || begin >= end || begin >= size) return -1;
-  const std::uint64_t first = begin / bs;
-  const std::uint64_t last = (std::min(end, size) - 1) / bs;
-  for (std::uint64_t b = first; b <= last && b * bs < size; ++b) {
-    const std::uint64_t lo = b * bs;
-    const std::uint64_t hi = std::min(lo + bs, size);
-    const std::uint32_t want =
-        b < obj.sums.size() ? obj.sums[static_cast<std::size_t>(b)] : 0;
-    if (crc32c(ByteSpan(obj.data.data() + lo,
-                        static_cast<std::size_t>(hi - lo))) != want)
-      return static_cast<std::int64_t>(b);
-  }
-  return -1;
+  std::int64_t bad = -1;
+  walk_blocks(obj.data, begin, end, [&](std::uint64_t b, std::uint32_t crc) {
+    if (crc == obj.sums[static_cast<std::size_t>(b)]) return true;
+    bad = static_cast<std::int64_t>(b);
+    return false;
+  });
+  return bad;
 }
 
 std::size_t ObjectStore::pread(ObjectId id, MutByteSpan out,
@@ -181,18 +187,15 @@ ScrubReport ObjectStore::scrub() {
     ++rep.objects;
     const std::uint64_t bs = kChecksumBlock;
     rep.blocks += (obj->data.size() + bs - 1) / bs;
-    const bool bad = verify_range(*obj, 0, obj->data.size()) >= 0;
-    if (bad) {
-      // Count every bad block for the report, not just the first.
-      for (std::uint64_t b = 0; b * bs < obj->data.size(); ++b) {
-        const std::uint64_t lo = b * bs;
-        const std::uint64_t hi = std::min<std::uint64_t>(lo + bs, obj->data.size());
-        const std::uint32_t want =
-            b < obj->sums.size() ? obj->sums[static_cast<std::size_t>(b)] : 0;
-        if (crc32c(ByteSpan(obj->data.data() + lo,
-                            static_cast<std::size_t>(hi - lo))) != want)
-          ++rep.mismatched;
-      }
+    std::uint64_t mismatched = 0;
+    walk_blocks(obj->data, 0, obj->data.size(),
+                [&](std::uint64_t b, std::uint32_t crc) {
+                  if (crc != obj->sums[static_cast<std::size_t>(b)])
+                    ++mismatched;
+                  return true;
+                });
+    rep.mismatched += mismatched;
+    if (mismatched > 0) {
       if (!obj->quarantined) {
         obj->quarantined = true;
         ++rep.quarantined;

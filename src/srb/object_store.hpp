@@ -58,9 +58,10 @@ struct ScrubReport {
 
 class ObjectStore {
  public:
-  /// At-rest checksum granularity: 64 KB keeps the per-object overhead at
-  /// 1/16384 of the payload.
-  static constexpr std::uint64_t kChecksumBlock = 64u * 1024;
+  /// At-rest checksum granularity: the 4 KiB I/O unit, so a 4 KiB op
+  /// hashes 4 KiB. One 4 B sum per 4 KiB keeps the per-object overhead at
+  /// 1/1024 of the payload.
+  static constexpr std::uint64_t kChecksumBlock = 4u * 1024;
 
   explicit ObjectStore(const StoreConfig& cfg = {});
 

@@ -1,6 +1,7 @@
 // Unit tests for src/common: bytes codecs, RNG, stats, queue, table, options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -378,6 +379,46 @@ TEST(Crc32c, AlignmentInsensitive) {
     std::copy(raw.begin(), raw.end(),
               padded.begin() + static_cast<std::ptrdiff_t>(shift));
     EXPECT_EQ(crc32c(ByteSpan(padded.data() + shift, raw.size())), ref);
+  }
+}
+
+// Bitwise CRC32C: the slowest correct definition, kept here as the oracle.
+std::uint32_t crc32c_bitwise(ByteSpan data, std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k)
+      crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+  }
+  return ~crc;
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAcrossLaneBoundaries) {
+  // Lengths on both sides of every switch in the three-lane kernel: the
+  // one-chain loop (< 768 B), the 256 B lanes (>= 768 B), the 8 KiB lanes
+  // (>= 24 KiB), a long pass followed by exactly one short pass, and a
+  // large input that runs all three with a ragged tail.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t n : {767u, 768u, 769u, 24575u, 24576u, 24577u,
+                              24576u + 767u, 24576u + 768u, 24576u + 769u,
+                              (1u << 20) + 5u})
+    lengths.push_back(n);
+  Bytes raw((1u << 20) + 5u);
+  Rng rng(0x3a7e5u);
+  for (auto& b : raw) b = static_cast<char>(rng.next());
+  const std::uint32_t chained = crc32c(to_bytes("123456789"));
+  Bytes padded(raw.size() + 8);
+  for (const std::size_t n : lengths) {
+    for (const std::uint32_t seed : {0u, chained}) {
+      const std::uint32_t want = crc32c_bitwise(ByteSpan(raw.data(), n), seed);
+      for (std::size_t off = 0; off < 8; ++off) {
+        std::copy_n(raw.begin(), n,
+                    padded.begin() + static_cast<std::ptrdiff_t>(off));
+        ASSERT_EQ(crc32c(ByteSpan(padded.data() + off, n), seed), want)
+            << "length " << n << " offset " << off << " seed " << seed;
+      }
+    }
   }
 }
 

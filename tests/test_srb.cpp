@@ -3,7 +3,9 @@
 // object store's pread/pwrite behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <string>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -303,7 +305,7 @@ TEST(ObjectStore, CorruptionDetectedOnRead) {
   for (auto& b : data) b = static_cast<char>(rng.next());
   store.pwrite(1, ByteSpan(data.data(), data.size()), 0);
 
-  ASSERT_TRUE(store.corrupt(1, 150000));  // second 64K block
+  ASSERT_TRUE(store.corrupt(1, 150000));  // checksum block 36
   Bytes back(data.size());
   // A read covering the rotten block throws; one confined to clean blocks
   // still succeeds (per-block sums localize the damage).
@@ -315,6 +317,77 @@ TEST(ObjectStore, CorruptionDetectedOnRead) {
   EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0),
             data.size());
   EXPECT_EQ(back, data);
+}
+
+TEST(ObjectStore, RotIsConfinedToItsFourKiBBlock) {
+  constexpr std::uint64_t kBlock = 4096;
+  ObjectStore store;
+  store.create(1);
+  Bytes data(1u << 20);
+  Rng rng(7);
+  for (auto& b : data) b = static_cast<char>(rng.next());
+  store.pwrite(1, ByteSpan(data.data(), data.size()), 0);
+
+  // Block 77 sits mid-object, in the 64 KiB region [256 KiB, 320 KiB).
+  const std::uint64_t bad = 77;
+  const std::uint64_t region = 256u * 1024;
+  ASSERT_TRUE(store.corrupt(1, bad * kBlock + 1234));
+
+  // Same 64 KiB region, different 4 KiB blocks: still readable.
+  Bytes back(data.size());
+  const std::size_t before = static_cast<std::size_t>(bad * kBlock - region);
+  EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), before), region), before);
+  EXPECT_TRUE(std::equal(back.begin(), back.begin() + before,
+                         data.begin() + static_cast<std::ptrdiff_t>(region)));
+
+  // A read that covers the byte names block 77 and may be retried.
+  try {
+    store.pread(1, MutByteSpan(back.data(), 2 * kBlock), (bad - 1) * kBlock);
+    FAIL() << "expected IntegrityError";
+  } catch (const IntegrityError& e) {
+    EXPECT_TRUE(e.retryable());
+    EXPECT_FALSE(e.quarantined());
+    EXPECT_NE(std::string(e.what()).find("block 77"), std::string::npos)
+        << e.what();
+  }
+
+  ScrubReport rep = store.scrub();
+  EXPECT_EQ(rep.blocks, data.size() / kBlock);
+  EXPECT_EQ(rep.mismatched, 1u);
+  EXPECT_EQ(rep.quarantined, 1u);
+
+  // Rewriting just that 4 KiB block heals the object.
+  store.pwrite(1, ByteSpan(data.data() + bad * kBlock, kBlock), bad * kBlock);
+  rep = store.scrub();
+  EXPECT_EQ(rep.mismatched, 0u);
+  EXPECT_EQ(rep.healed, 1u);
+  EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0),
+            data.size());
+  EXPECT_EQ(back, data);
+}
+
+TEST(ObjectStore, UnalignedWritesKeepBothBlocksFresh) {
+  ObjectStore store;
+  store.create(1);
+  // Three full 4 KiB blocks and a last block holding 100 bytes.
+  Bytes model(3 * 4096 + 100);
+  Rng rng(11);
+  for (auto& b : model) b = static_cast<char>(rng.next());
+  store.pwrite(1, ByteSpan(model.data(), model.size()), 0);
+
+  // [6000, 10096) ends inside block 2 after starting inside block 1.
+  Bytes patch(4096);
+  for (auto& b : patch) b = static_cast<char>(rng.next());
+  store.pwrite(1, ByteSpan(patch.data(), patch.size()), 6000);
+  std::copy(patch.begin(), patch.end(), model.begin() + 6000);
+
+  Bytes back(model.size());
+  EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0),
+            model.size());
+  EXPECT_EQ(back, model);
+  const ScrubReport rep = store.scrub();
+  EXPECT_EQ(rep.blocks, 4u);
+  EXPECT_EQ(rep.mismatched, 0u);
 }
 
 TEST(ObjectStore, TruncateAndGapWritesKeepSumsFresh) {
