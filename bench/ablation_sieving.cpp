@@ -1,12 +1,19 @@
 // Noncontiguous-access ablation (ROMIO's data sieving and list I/O ported
-// onto the SRB wire, §3/§4 of Thakur et al.'s playbook applied to SEMPLAR):
-// a strided tile pattern of N extents is transferred with each strategy —
-//   naive: one round trip per extent (N messages over the 182 ms WAN);
-//   sieve: one contiguous hull transfer + local scatter/gather (reads cost
-//          1 message, writes 2: pre-image fetch + read-modify-write);
-//   list:  the kObjReadList/kObjWriteList verb, one message per batch of
-//          extents (N <= 1024 here, so exactly 1).
-// The wire_ops column is deterministic for a given pattern and gates the
+// onto the SRB wire, Thakur et al.'s playbook applied to SEMPLAR). Each
+// cell moves a strided pattern of N extents over the 182 ms das2 WAN:
+//   naive:  the ADIO base FileHandle::readv/writev, one read_at/write_at
+//           per extent (N messages) — what a driver without vectored verbs
+//           does;
+//   driver: SemplarFile::readv/writev. Writes always take the list verb;
+//           a read takes one hull fetch + local scatter when its holes
+//           cost no more than the list verb's 16 B per extent
+//           (srb::kListReadBytesPerExtent), the list verb otherwise. The
+//           cell's strategy field is the path the driver took, read from
+//           its spans: "hull" or "list".
+// The sparse grid (1/8 KiB extents at 4x stride) runs both columns; the
+// dense grid (8-64 B extents at 2x stride, 1k-16k extents) runs the driver
+// only, where the hull-or-list choice flips between 16 and 32 B holes.
+// wire_ops and bytes are deterministic for a given pattern and gate the
 // committed baseline; timings are warn-only.
 //
 // Usage: ablation_sieving [--scale=100] [--json=PATH]
@@ -25,11 +32,9 @@ using namespace remio::testbed;
 
 namespace {
 
-constexpr std::size_t kHoleFactor = 4;  // stride = kHoleFactor * extent_bytes
-
 struct Cell {
   std::string op;        // "read" | "write"
-  std::string strategy;  // "naive" | "sieve" | "list"
+  std::string strategy;  // "naive" | "hull" | "list"
   int extents = 0;
   std::size_t extent_bytes = 0;
   std::uint64_t wire_ops = 0;  // protocol round trips (stable)
@@ -37,38 +42,45 @@ struct Cell {
   double sim_s = 0.0;          // simulated transfer time (timing, warn-only)
 };
 
-ExtentList tile_pattern(int count, std::size_t extent_bytes) {
+ExtentList tile_pattern(int count, std::size_t extent_bytes,
+                        std::size_t stride_factor) {
   ExtentList xs;
-  const std::uint64_t stride = kHoleFactor * extent_bytes;
+  const std::uint64_t stride = stride_factor * extent_bytes;
   for (int i = 0; i < count; ++i)
     xs.push_back({static_cast<std::uint64_t>(i) * stride, extent_bytes});
   return xs;
 }
 
-Cell run_cell(Testbed& tb, semplar::Config::Sieve::Mode mode,
-              const char* strategy, bool is_write, int count,
-              std::size_t extent_bytes) {
+Cell run_cell(Testbed& tb, bool naive, bool is_write, int count,
+              std::size_t extent_bytes, std::size_t stride_factor) {
   semplar::Config cfg = tb.semplar_config(0);
-  cfg.sieve.mode = mode;
+  cfg.obs.enabled = true;  // the driver's path is read from its spans
   semplar::SemplarFile f(tb.fabric(), cfg, "/sieving/tile",
                          mpiio::kModeRead | mpiio::kModeWrite);
 
-  const ExtentList xs = tile_pattern(count, extent_bytes);
+  const ExtentList xs = tile_pattern(count, extent_bytes, stride_factor);
   Bytes packed(static_cast<std::size_t>(total_bytes(xs)), 's');
 
   Cell c;
   c.op = is_write ? "write" : "read";
-  c.strategy = strategy;
   c.extents = count;
   c.extent_bytes = extent_bytes;
+  const ByteSpan in(packed.data(), packed.size());
+  const MutByteSpan out(packed.data(), packed.size());
+  using Adio = mpiio::adio::FileHandle;  // naive: its per-extent loop
   const std::uint64_t before = f.stats().snapshot().wire_ops;
   const double t0 = simnet::sim_now();
   if (is_write)
-    c.bytes = f.writev(xs, ByteSpan(packed.data(), packed.size()));
+    c.bytes = naive ? f.Adio::writev(xs, in) : f.writev(xs, in);
   else
-    c.bytes = f.readv(xs, MutByteSpan(packed.data(), packed.size()));
+    c.bytes = naive ? f.Adio::readv(xs, out) : f.readv(xs, out);
   c.sim_s = simnet::sim_now() - t0;
   c.wire_ops = f.stats().snapshot().wire_ops - before;
+
+  c.strategy = naive ? "naive" : "list";
+  if (!naive)
+    for (const obs::Span& s : f.tracer()->snapshot())
+      if (s.kind == obs::SpanKind::kSieve) c.strategy = "hull";
   return c;
 }
 
@@ -104,7 +116,9 @@ int main(int argc, char** argv) {
   Testbed tb(das2(), 1);
 
   // Seed the remote tile array once, large enough for the widest pattern.
-  const std::size_t image_bytes = 256u * kHoleFactor * 8192;
+  constexpr std::size_t kSparseStride = 4;  // stride = 4 * extent_bytes
+  constexpr std::size_t kDenseStride = 2;
+  const std::size_t image_bytes = 256u * kSparseStride * 8192;
   {
     semplar::SrbfsDriver seeder(tb.fabric(), tb.semplar_config(0));
     mpiio::File seed(seeder, "/sieving/tile",
@@ -114,41 +128,35 @@ int main(int argc, char** argv) {
     seed.close();
   }
 
-  struct Strategy {
-    semplar::Config::Sieve::Mode mode;
-    const char* name;
-  };
-  const Strategy strategies[] = {
-      {semplar::Config::Sieve::Mode::kNaive, "naive"},
-      {semplar::Config::Sieve::Mode::kSieve, "sieve"},
-      {semplar::Config::Sieve::Mode::kList, "list"},
-  };
-
   std::vector<Cell> cells;
   Table table({"op", "strategy", "extents", "extent-B", "wire-ops", "sim-ms"});
+  const auto add = [&](const Cell& c) {
+    table.add_row({c.op, c.strategy, std::to_string(c.extents),
+                   std::to_string(c.extent_bytes), std::to_string(c.wire_ops),
+                   Table::num(c.sim_s * 1e3, 1)});
+    cells.push_back(c);
+  };
   for (const bool is_write : {false, true}) {
-    for (const std::size_t extent_bytes : {std::size_t{1024}, std::size_t{8192}}) {
-      for (const int count : {4, 16, 64, 256}) {
-        for (const Strategy& s : strategies) {
-          const Cell c =
-              run_cell(tb, s.mode, s.name, is_write, count, extent_bytes);
-          table.add_row({c.op, c.strategy, std::to_string(c.extents),
-                         std::to_string(c.extent_bytes),
-                         std::to_string(c.wire_ops),
-                         Table::num(c.sim_s * 1e3, 1)});
-          cells.push_back(c);
-        }
-      }
-    }
+    for (const std::size_t extent_bytes :
+         {std::size_t{1024}, std::size_t{8192}})
+      for (const int count : {4, 16, 64, 256})
+        for (const bool naive : {true, false})
+          add(run_cell(tb, naive, is_write, count, extent_bytes,
+                       kSparseStride));
+    for (const std::size_t extent_bytes :
+         {std::size_t{8}, std::size_t{16}, std::size_t{32}, std::size_t{64}})
+      for (const int count : {1024, 4096, 16384})
+        add(run_cell(tb, /*naive=*/false, is_write, count, extent_bytes,
+                     kDenseStride));
   }
-  emit(opts, "Ablation: noncontiguous strategies over the 182 ms WAN (das2)",
+  emit(opts, "Ablation: noncontiguous transfers over the 182 ms WAN (das2)",
        table);
   std::printf(
-      "expectation: naive costs one 182 ms round trip per extent; list I/O "
-      "flattens that to one message regardless of extent count (>= 64x fewer "
-      "round trips at 64+ extents); sieving costs 1 message per read / 2 per "
-      "write but ships the holes, so it wins only while the pattern is "
-      "dense.\n");
+      "expectation: naive costs one 182 ms round trip per extent; the driver "
+      "flattens that to one list message per 4096 extents; dense reads whose "
+      "holes cost <= 16 B per extent (8 and 16 B extents at 2x stride) take "
+      "one hull fetch instead, every write and every sparser read takes the "
+      "list verb.\n");
   if (opts.has("json"))
     write_json_file(opts.get("json"), sieving_json(tb.cluster().name, cells));
   return 0;

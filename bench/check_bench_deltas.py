@@ -147,8 +147,10 @@ def check_sieving(args):
     for k in sorted(base_by):
         b, r = base_by[k], run_by[k]
         # Round trips per pattern are the whole point of the ablation: naive
-        # pays one per extent, sieving one hull fetch (two for RMW writes),
-        # list I/O one message per 1024-extent batch. Deterministic.
+        # pays one per extent, a hull read one fetch, list I/O one message
+        # per 4096-extent batch. Deterministic; and since the key carries
+        # the path the driver took, a flip of the hull-or-list choice
+        # drifts the grid shape and fails too.
         for field in ("wire_ops", "bytes"):
             if b[field] != r[field]:
                 fail(f"sieving {k}: stable field '{field}' drifted "

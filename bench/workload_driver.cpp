@@ -8,7 +8,6 @@
 //     [--ranks=2] [--cluster=das2] [--seed=42] [--scale=100]
 //     [--streams=1] [--io-threads=0] [--window=1]
 //     [--cache-mb=0] [--readahead=0] [--writeback-kb=0]
-//     [--sieve=auto|naive|sieve|list] [--sieve-hull-kb=4096]
 //     [--json=BENCH_workload_<name>.json] [--trace=out.json] [--report=out.txt]
 //     [--<generator-param>=value ...]
 //
@@ -24,7 +23,6 @@
 #include <exception>
 #include <iostream>
 #include <set>
-#include <stdexcept>
 #include <string>
 
 #include "common/bench_json.hpp"
@@ -47,20 +45,7 @@ namespace {
 const std::set<std::string> kDriverFlags = {
     "workload", "ranks",     "cluster", "seed",   "scale",
     "streams",  "io-threads", "window",  "cache-mb", "readahead",
-    "writeback-kb", "json",  "trace",   "report", "trace-in", "csv",
-    "sieve",    "sieve-hull-kb"};
-
-// --sieve=auto|naive|sieve|list picks the noncontiguous-transfer strategy
-// (Config::Sieve::Mode); absent means naive, the paper's baseline.
-semplar::Config::Sieve::Mode sieve_mode_from(const std::string& s) {
-  using Mode = semplar::Config::Sieve::Mode;
-  if (s == "auto") return Mode::kAuto;
-  if (s == "naive") return Mode::kNaive;
-  if (s == "sieve") return Mode::kSieve;
-  if (s == "list") return Mode::kList;
-  throw std::invalid_argument("--sieve must be auto|naive|sieve|list, got: " +
-                              s);
-}
+    "writeback-kb", "json",  "trace",   "report", "trace-in", "csv"};
 
 int usage() {
   std::string names;
@@ -112,9 +97,6 @@ int main(int argc, char** argv) {
     eo.readahead_blocks = static_cast<int>(opts.get_int("readahead", 0));
     eo.writeback_hwm =
         static_cast<std::size_t>(opts.get_int("writeback-kb", 0)) << 10;
-    if (opts.has("sieve")) eo.sieve_mode = sieve_mode_from(opts.get("sieve"));
-    eo.sieve_hull_bytes =
-        static_cast<std::size_t>(opts.get_int("sieve-hull-kb", 0)) << 10;
     const wk::ExecResult r = wk::execute(tb, *gen, eo);
 
     // --- human summary ------------------------------------------------------

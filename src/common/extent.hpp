@@ -20,8 +20,8 @@ struct Extent {
   friend bool operator==(const Extent&, const Extent&) = default;
 };
 
-/// Ordered list of extents. The optimized transfer paths (sieving, list I/O)
-/// require the list to be sorted by offset with no overlaps; use
+/// Ordered list of extents. The optimized transfer paths (hull reads, list
+/// I/O) require the list to be sorted by offset with no overlaps; use
 /// `is_sorted_disjoint` to validate and `normalized` to canonicalize.
 using ExtentList = std::vector<Extent>;
 

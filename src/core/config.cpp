@@ -37,12 +37,6 @@ void validate(const Config& cfg) {
   if (cfg.writeback_hwm > cfg.cache_bytes)
     throw std::invalid_argument(
         "semplar::Config: writeback_hwm exceeds cache_bytes");
-  if (cfg.sieve.max_hull_bytes == 0)
-    throw std::invalid_argument(
-        "semplar::Config: sieve.max_hull_bytes must be > 0");
-  if (cfg.sieve.max_extents_per_msg == 0)
-    throw std::invalid_argument(
-        "semplar::Config: sieve.max_extents_per_msg must be > 0");
   if (cfg.conn.quantum == 0)
     throw std::invalid_argument("semplar::Config: conn.quantum must be > 0");
   if (cfg.conn.buffer_bytes == 0)

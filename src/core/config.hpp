@@ -70,25 +70,6 @@ struct Config {
   /// cache only absorbs re-reads). Needs cache_bytes > 0.
   std::size_t writeback_hwm = 0;
 
-  /// Noncontiguous-transfer optimization (data sieving + list I/O, Thakur
-  /// et al.). Default kNaive: a vectored request lowers to one wire op per
-  /// extent, preserving the paper's baseline behaviour. With kAuto, srbfs
-  /// picks a strategy per request: extent hulls no larger than
-  /// max_hull_bytes go through data sieving (one contiguous wire transfer
-  /// of the hull + client-side scatter/gather); anything sparser goes
-  /// through the kObjReadList/kObjWriteList verbs, batched at
-  /// max_extents_per_msg extents per message.
-  struct Sieve {
-    enum class Mode { kAuto = 0, kNaive = 1, kSieve = 2, kList = 3 };
-    /// kSieve and kList force one strategy, for the ablation bench and tests.
-    Mode mode = Mode::kNaive;
-    /// Largest extent hull (bytes) data sieving will fetch in one piece.
-    std::size_t max_hull_bytes = 4u << 20;
-    /// Extents per list-I/O message (hard-capped at srb::kMaxListExtents).
-    std::uint32_t max_extents_per_msg = 1024;
-  };
-  Sieve sieve;
-
   /// End-to-end data integrity (src/common/checksum). Detection is
   /// default-ON — each knob only turns checking off; recovery from a
   /// detected mismatch is governed by `retry` like any transient failure.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "simnet/timescale.hpp"
+#include "srb/protocol.hpp"
 
 namespace remio::semplar {
 
@@ -302,28 +303,22 @@ mpiio::IoRequest SemplarFile::submit_striped(std::uint64_t offset, Span data) {
   });
 }
 
-// --- noncontiguous strategies ----------------------------------------------
-
-SemplarFile::Strategy SemplarFile::pick_strategy(
-    const ExtentList& extents) const {
-  switch (cfg_.sieve.mode) {
-    case Config::Sieve::Mode::kNaive: return Strategy::kNaive;
-    case Config::Sieve::Mode::kSieve: return Strategy::kSieve;
-    case Config::Sieve::Mode::kList: return Strategy::kList;
-    case Config::Sieve::Mode::kAuto: break;
-  }
-  // Auto heuristic: sieve while the hull (extents plus the holes between
-  // them) is small enough that shipping the holes beats the per-extent
-  // round trips; hand larger or sparser patterns to the list verb.
-  return hull(extents).len <= cfg_.sieve.max_hull_bytes ? Strategy::kSieve
-                                                        : Strategy::kList;
-}
+// --- noncontiguous transfers -----------------------------------------------
 
 namespace {
 
-/// One kSieve/kListIo span covering a whole strategy transfer on one
-/// stream. Rides the enclosing engine task's op id when there is one, so
-/// the trace ties hull fetches and list batches back to their request.
+/// A read takes one hull fetch instead of the list verb when its holes cost
+/// no more wire bytes than the list descriptors and reply lengths they
+/// replace. Writes always take the list verb: writing the hull back would
+/// overwrite whatever a concurrent writer put in the holes.
+bool hull_read_pays(const ExtentList& extents) {
+  return hull(extents).len - total_bytes(extents) <=
+         srb::kListReadBytesPerExtent * extents.size();
+}
+
+/// One kSieve/kListIo span covering a whole hull read or list transfer on
+/// one stream. Rides the enclosing engine task's op id when there is one,
+/// so the trace ties hull fetches and list batches back to their request.
 void record_strategy_span(obs::Tracer* tracer, obs::SpanKind kind,
                           std::size_t bytes, double t0) {
   if (tracer == nullptr) return;
@@ -340,80 +335,44 @@ void record_strategy_span(obs::Tracer* tracer, obs::SpanKind kind,
 }  // namespace
 
 template <bool IsWrite, class Span>
-std::size_t SemplarFile::transfer_extents(Strategy strategy, int stream,
-                                          const ExtentList& extents, Span data,
+std::size_t SemplarFile::transfer_extents(int stream, const ExtentList& extents,
+                                          Span data, bool hull_read,
                                           bool once) {
   if (extents.empty()) return 0;
   const double t0 = tracer_ != nullptr ? simnet::sim_now() : 0.0;
 
-  if (strategy == Strategy::kList) {
-    std::size_t moved;
-    if constexpr (IsWrite) {
-      moved = once ? streams_->pwritev_once(stream, extents, data)
-                   : streams_->pwritev(stream, extents, data);
-    } else {
-      moved = once ? streams_->preadv_once(stream, extents, data)
-                   : streams_->preadv(stream, extents, data);
-    }
-    record_strategy_span(tracer_.get(), obs::SpanKind::kListIo, moved, t0);
-    return moved;
-  }
-
-  if (strategy == Strategy::kSieve) {
-    const Extent h = hull(extents);
-    Bytes scratch(static_cast<std::size_t>(h.len));  // zero-filled
-    std::size_t moved = 0;
-    if constexpr (IsWrite) {
-      // Read-modify-write: fetch the pre-image so the holes between
-      // extents survive the hull write. Bytes past EOF stay zero, which
-      // matches the broker's sparse-object semantics for a hole created
-      // by extending per-extent writes.
-      const MutByteSpan pre(scratch.data(), scratch.size());
-      once ? streams_->pread_once(stream, pre, h.offset)
-           : streams_->pread(stream, pre, h.offset);
-      for (const Extent& x : extents) {
-        std::copy_n(data.data() + moved, static_cast<std::size_t>(x.len),
-                    scratch.data() + (x.offset - h.offset));
-        moved += static_cast<std::size_t>(x.len);
-      }
-      const ByteSpan image(scratch.data(), scratch.size());
-      once ? streams_->pwrite_once(stream, image, h.offset)
-           : streams_->pwrite(stream, image, h.offset);
-    } else {
-      const MutByteSpan in(scratch.data(), scratch.size());
+  if constexpr (!IsWrite) {
+    if (hull_read) {
+      const Extent h = hull(extents);
+      Bytes fetched(static_cast<std::size_t>(h.len));
+      const MutByteSpan in(fetched.data(), fetched.size());
       const std::size_t got = once ? streams_->pread_once(stream, in, h.offset)
                                    : streams_->pread(stream, in, h.offset);
+      std::size_t moved = 0;
       for (const Extent& x : extents) {
         const std::uint64_t rel = x.offset - h.offset;
         const std::size_t avail =
             got > rel ? std::min(static_cast<std::size_t>(x.len),
                                  static_cast<std::size_t>(got - rel))
                       : 0;
-        std::copy_n(scratch.data() + rel, avail, data.data() + moved);
+        std::copy_n(fetched.data() + rel, avail, data.data() + moved);
         moved += avail;
         if (avail < x.len) break;  // short hull read: the rest is past EOF
       }
+      record_strategy_span(tracer_.get(), obs::SpanKind::kSieve, moved, t0);
+      return moved;
     }
-    record_strategy_span(tracer_.get(), obs::SpanKind::kSieve, moved, t0);
-    return moved;
   }
 
-  // Naive: one plain round trip per extent.
-  std::size_t moved = 0;
-  for (const Extent& x : extents) {
-    const std::size_t len = static_cast<std::size_t>(x.len);
-    if constexpr (IsWrite) {
-      const ByteSpan part = data.subspan(moved, len);
-      moved += once ? streams_->pwrite_once(stream, part, x.offset)
-                    : streams_->pwrite(stream, part, x.offset);
-    } else {
-      const MutByteSpan part = data.subspan(moved, len);
-      const std::size_t n = once ? streams_->pread_once(stream, part, x.offset)
-                                 : streams_->pread(stream, part, x.offset);
-      moved += n;
-      if (n < len) break;
-    }
+  std::size_t moved;
+  if constexpr (IsWrite) {
+    moved = once ? streams_->pwritev_once(stream, extents, data)
+                 : streams_->pwritev(stream, extents, data);
+  } else {
+    moved = once ? streams_->preadv_once(stream, extents, data)
+                 : streams_->preadv(stream, extents, data);
   }
+  record_strategy_span(tracer_.get(), obs::SpanKind::kListIo, moved, t0);
   return moved;
 }
 
@@ -425,7 +384,7 @@ mpiio::IoRequest SemplarFile::submit_extents(const ExtentList& extents,
     mpiio::IoRequest::complete(done.state(), 0);
     return done;
   }
-  const Strategy strategy = pick_strategy(extents);
+  const bool hull_read = !IsWrite && hull_read_pays(extents);
   const int active = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(streams_->count()), extents.size()));
 
@@ -437,7 +396,7 @@ mpiio::IoRequest SemplarFile::submit_extents(const ExtentList& extents,
 
   return submit_joined<IsWrite>(active, [&](int k) {
     // Count-even partition: stream k owns extents [lo, hi). Each subset is
-    // itself sorted and disjoint, so every strategy applies per stream.
+    // itself sorted and disjoint, so either path applies per stream.
     const std::size_t lo = extents.size() * static_cast<std::size_t>(k) /
                            static_cast<std::size_t>(active);
     const std::size_t hi = extents.size() *
@@ -446,8 +405,8 @@ mpiio::IoRequest SemplarFile::submit_extents(const ExtentList& extents,
     ExtentList subset(extents.begin() + static_cast<std::ptrdiff_t>(lo),
                       extents.begin() + static_cast<std::ptrdiff_t>(hi));
     const Span part = data.subspan(base[lo], base[hi] - base[lo]);
-    return [this, strategy, k, subset = std::move(subset), part] {
-      return transfer_extents<IsWrite>(strategy, k, subset, part,
+    return [this, hull_read, k, subset = std::move(subset), part] {
+      return transfer_extents<IsWrite>(k, subset, part, hull_read,
                                        /*once=*/true);
     };
   });
@@ -461,8 +420,9 @@ std::size_t SemplarFile::readv(const ExtentList& extents, MutByteSpan out) {
   return sync_op<false>([&] {
     return cache_ != nullptr
                ? cache_->readv(extents, out)
-               : transfer_extents<false>(pick_strategy(extents), 0, extents,
-                                         out, /*once=*/false);
+               : transfer_extents<false>(0, extents, out,
+                                         hull_read_pays(extents),
+                                         /*once=*/false);
   });
 }
 
@@ -472,8 +432,8 @@ std::size_t SemplarFile::writev(const ExtentList& extents, ByteSpan data) {
   return sync_op<true>([&] {
     return cache_ != nullptr
                ? cache_->writev(extents, data)
-               : transfer_extents<true>(pick_strategy(extents), 0, extents,
-                                        data, /*once=*/false);
+               : transfer_extents<true>(0, extents, data,
+                                        /*hull_read=*/false, /*once=*/false);
   });
 }
 

@@ -39,12 +39,15 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   void flush() override;
 
   // --- noncontiguous path (ROMIO §data sieving / list I/O) ----------------
-  // Strategy per list (Config::Sieve): naive per-extent round trips, data
-  // sieving (one hull transfer + local scatter/gather, read-modify-write
-  // for writes), or the list-I/O wire verb (many extents per message).
-  // Single-extent lists delegate to the plain verbs so accounting and
-  // tracing are identical either way; with the block cache enabled every
-  // strategy is bypassed in favour of cache-granular access.
+  // Writes and sparse reads take the list-I/O wire verbs (many extents per
+  // message). A read whose holes cost no more wire bytes than the list
+  // descriptors they replace (srb::kListReadBytesPerExtent per extent)
+  // fetches the extents' hull in one piece and scatters it locally; writes
+  // never touch the hull, so concurrent writers of interleaved extents
+  // cannot overwrite each other's bytes. Single-extent lists delegate to
+  // the plain verbs so accounting and tracing are identical either way;
+  // with the block cache enabled both paths are bypassed in favour of
+  // cache-granular access.
   std::size_t readv(const ExtentList& extents, MutByteSpan out) override;
   std::size_t writev(const ExtentList& extents, ByteSpan data) override;
   mpiio::IoRequest ireadv(const ExtentList& extents, MutByteSpan out) override;
@@ -116,22 +119,19 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   template <bool IsWrite, class Span>
   mpiio::IoRequest submit_striped(std::uint64_t offset, Span data);
 
-  /// How a noncontiguous list goes on the wire (Config::Sieve).
-  enum class Strategy { kNaive, kSieve, kList };
-  Strategy pick_strategy(const ExtentList& extents) const;
-
-  /// Moves `extents` <-> the packed buffer on one stream using `strategy`.
-  /// `once` selects the single-attempt pool flavours (engine-replayed
-  /// tasks) over the blocking-supervised ones (sync callers). Returns the
-  /// bytes moved; reads stop at the first short extent.
+  /// Moves `extents` <-> the packed buffer on one stream: one hull fetch
+  /// plus a local scatter when `hull_read` (reads only), the list verbs
+  /// otherwise. `once` selects the single-attempt pool flavours (engine-
+  /// replayed tasks) over the blocking-supervised ones (sync callers).
+  /// Returns the bytes moved; reads stop at the first short extent.
   template <bool IsWrite, class Span>
-  std::size_t transfer_extents(Strategy strategy, int stream,
-                               const ExtentList& extents, Span data,
-                               bool once);
+  std::size_t transfer_extents(int stream, const ExtentList& extents,
+                               Span data, bool hull_read, bool once);
 
-  /// Async flavour of the strategy transfer: partitions the list count-
-  /// evenly across the file's streams, one supervised engine task per
-  /// stream, joined into one master request (submit_joined).
+  /// Async flavour of transfer_extents: partitions the list count-evenly
+  /// across the file's streams, one supervised engine task per stream,
+  /// joined into one master request (submit_joined). The hull-or-list
+  /// choice is made once for the whole list, as on the sync path.
   template <bool IsWrite, class Span>
   mpiio::IoRequest submit_extents(const ExtentList& extents, Span data);
 

@@ -322,9 +322,6 @@ template <bool IsWrite, class Span>
 std::size_t StreamPool::transfer_list(int stream, const ExtentList& extents,
                                       Span data) {
   const std::size_t max_bytes = srb::SrbClient::kMaxIoChunk;
-  std::uint32_t max_ext = cfg_.sieve.max_extents_per_msg;
-  if (max_ext == 0 || max_ext > srb::kMaxListExtents)
-    max_ext = srb::kMaxListExtents;
 
   std::size_t total = 0;
   std::size_t packed = 0;  // position in the packed buffer
@@ -355,7 +352,7 @@ std::size_t StreamPool::transfer_list(int stream, const ExtentList& extents,
     }
     std::size_t j = i;
     std::size_t bytes = 0;
-    while (j < extents.size() && j - i < max_ext &&
+    while (j < extents.size() && j - i < srb::kMaxListExtents &&
            extents[j].len <= max_bytes && bytes + extents[j].len <= max_bytes) {
       bytes += static_cast<std::size_t>(extents[j].len);
       ++j;

@@ -70,8 +70,8 @@ class StreamPool {
 
   // List I/O: a sorted, disjoint extent list against a packed buffer. The
   // pool batches the list into kObjReadList/kObjWriteList messages bounded
-  // by Config::Sieve::max_extents_per_msg and SrbClient::kMaxIoChunk data
-  // bytes each (an extent larger than the chunk cap goes through the plain
+  // by srb::kMaxListExtents extents and SrbClient::kMaxIoChunk data bytes
+  // each (an extent larger than the chunk cap goes through the plain
   // chunked verb instead — list framing buys it nothing). Offset-addressed
   // and therefore idempotent, like every supervised op here.
   std::size_t preadv(int stream, const ExtentList& extents, MutByteSpan out);

@@ -60,9 +60,10 @@ class FileHandle {
   /// to/from a packed buffer (extent contents concatenated in list order;
   /// buffer size == total_bytes(extents) — the portable layer validates).
   /// The default lowers to one plain call per extent; drivers that can do
-  /// better (SEMPLAR: data sieving, list I/O) override. A read stops at the
-  /// first short extent — for a sorted list every later extent lies beyond
-  /// EOF, so this equals per-extent independent reads.
+  /// better override (SEMPLAR: the list-I/O wire verbs, or one hull fetch
+  /// for a dense read). A read stops at the first short extent — for a
+  /// sorted list every later extent lies beyond EOF, so this equals
+  /// per-extent independent reads.
   virtual std::size_t readv(const ExtentList& extents, MutByteSpan out) {
     std::size_t done = 0;
     for (const Extent& x : extents) {

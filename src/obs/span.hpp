@@ -30,7 +30,7 @@ enum class SpanKind : std::uint8_t {
   kFlush,       // write-behind coalesced flush hitting the wire
   kCompute,     // app computation phase (testbed PhaseTimer)
   kIoWait,      // app blocked in its I/O phase (testbed PhaseTimer)
-  kSieve,       // data-sieving transfer: hull fetch + scatter/gather
+  kSieve,       // data-sieving read: one hull fetch + local scatter
   kListIo,      // list-I/O transfer: batched extents in one message
   kIntegrity,   // detected corruption (wire frame or at-rest block)
   kCount

@@ -104,6 +104,12 @@ constexpr std::uint32_t kMaxMessage = 128u << 20;
 /// data is read).
 constexpr std::uint32_t kMaxListExtents = 4096;
 
+/// Wire bytes a list read spends per extent beyond its payload: the 12-byte
+/// (offset:u64 len:u32) request descriptor plus the 4-byte actual_len:u32
+/// in the reply. A read whose holes cost no more than this per extent is
+/// cheaper as one contiguous fetch of the extents' hull.
+constexpr std::uint64_t kListReadBytesPerExtent = 16;
+
 /// Sends one framed message: [len][head][body...].
 void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
 void send_frame2(simnet::Socket& sock, std::int32_t status, ByteSpan body);

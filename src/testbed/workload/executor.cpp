@@ -69,8 +69,6 @@ class RankRunner {
     if (eo.cache_block_bytes > 0) cfg.cache_block_bytes = eo.cache_block_bytes;
     cfg.readahead_blocks = eo.readahead_blocks;
     cfg.writeback_hwm = eo.writeback_hwm;
-    cfg.sieve.mode = eo.sieve_mode;
-    if (eo.sieve_hull_bytes > 0) cfg.sieve.max_hull_bytes = eo.sieve_hull_bytes;
     driver_ = std::make_unique<semplar::SrbfsDriver>(tb.fabric(), cfg);
   }
 

@@ -49,11 +49,6 @@ struct ExecOptions {
   std::size_t cache_block_bytes = 0;  // 0 = Config default
   int readahead_blocks = 0;
   std::size_t writeback_hwm = 0;
-  /// Noncontiguous-transfer knobs, forwarded to Config::Sieve (default
-  /// kNaive: vectored ops lower to one wire op per extent, the paper's
-  /// baseline).
-  semplar::Config::Sieve::Mode sieve_mode = semplar::Config::Sieve::Mode::kNaive;
-  std::size_t sieve_hull_bytes = 0;  // 0 = Config default
   /// Async window per rank; issuing beyond it waits for the oldest request.
   int max_outstanding = 1;
   /// Snapshot per-rank tracers at kClose and run the overlap analysis.

@@ -1,8 +1,8 @@
 // Out-of-core external sort: materialize a synthetic input region, sort it
 // in memory-sized runs (read run, modelled sort compute, write run), then
 // K-way merge passes until one run remains. The merge reads interleave
-// across the K inputs — the strided/noncontiguous access shape Thakur et
-// al.'s data-sieving work targets (ROADMAP item 4 rides this generator).
+// across the K inputs, but each read is one contiguous block (read_at);
+// the generator makes no vectored calls.
 //
 // Params:
 //   data-mb     total dataset size, MB          (default 8)

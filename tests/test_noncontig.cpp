@@ -1,11 +1,14 @@
 // Noncontiguous I/O end to end: the list-I/O wire verb (one round-trip for
 // many extents, server-side validation that keeps the session), the strategy
-// selection in SEMPLAR (naive / data sieving / list I/O), strided FileViews
-// through the mpiio front end, and a randomized property suite that checks
-// every strategy x cache combination against a flat in-memory model.
+// selection in SEMPLAR (list I/O or one hull read), concurrent interleaved
+// writers, strided FileViews through the mpiio front end, and a randomized
+// property suite that checks every cache x sync/async combination against
+// a flat in-memory model.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <latch>
+#include <thread>
 
 #include "chaos.hpp"
 #include "common/rng.hpp"
@@ -172,7 +175,7 @@ TEST_F(NoncontigTest, ServerRejectsMalformedListsButKeepsSession) {
   client.close(fd);
 }
 
-// --- strategy selection in SEMPLAR -----------------------------------------
+// --- list I/O vs hull read in SEMPLAR --------------------------------------
 
 TEST_F(NoncontigTest, ListStrategyCutsRoundTripsVsNaive) {
   Rng rng(13);
@@ -182,43 +185,46 @@ TEST_F(NoncontigTest, ListStrategyCutsRoundTripsVsNaive) {
     xs.push_back({static_cast<std::uint64_t>(i) * 4096, 512});
   Bytes packed(static_cast<std::size_t>(total_bytes(xs)));
 
-  const auto wire_ops_for = [&](Config::Sieve::Mode mode) {
-    Config cfg = base_config();
-    cfg.sieve.mode = mode;
-    SemplarFile f(fabric_, cfg, "/strategy/obj",
-                  mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
-                      mpiio::kModeTrunc);
-    f.write_at(0, ByteSpan(image.data(), image.size()));
-    const std::uint64_t before = f.stats().snapshot().wire_ops;
-    EXPECT_EQ(f.readv(xs, MutByteSpan(packed.data(), packed.size())),
-              packed.size());
+  SemplarFile f(fabric_, base_config(), "/strategy/obj",
+                mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
+                    mpiio::kModeTrunc);
+  f.write_at(0, ByteSpan(image.data(), image.size()));
+  const auto expect_image = [&] {
     std::size_t cursor = 0;
     for (const Extent& x : xs) {
       EXPECT_EQ(0, std::memcmp(packed.data() + cursor, image.data() + x.offset,
                                static_cast<std::size_t>(x.len)));
       cursor += static_cast<std::size_t>(x.len);
     }
-    return f.stats().snapshot().wire_ops - before;
   };
 
-  const std::uint64_t naive = wire_ops_for(Config::Sieve::Mode::kNaive);
-  const std::uint64_t list = wire_ops_for(Config::Sieve::Mode::kList);
-  const std::uint64_t sieve = wire_ops_for(Config::Sieve::Mode::kSieve);
+  // Naive: the ADIO base's loop, one plain read_at per extent.
+  std::uint64_t before = f.stats().snapshot().wire_ops;
+  EXPECT_EQ(f.mpiio::adio::FileHandle::readv(
+                xs, MutByteSpan(packed.data(), packed.size())),
+            packed.size());
+  const std::uint64_t naive = f.stats().snapshot().wire_ops - before;
+  expect_image();
+
+  std::fill(packed.begin(), packed.end(), 0);
+  before = f.stats().snapshot().wire_ops;
+  EXPECT_EQ(f.readv(xs, MutByteSpan(packed.data(), packed.size())),
+            packed.size());
+  const std::uint64_t list = f.stats().snapshot().wire_ops - before;
+  expect_image();
+
   EXPECT_EQ(naive, 64u);  // one round trip per extent
   EXPECT_EQ(list, 1u);    // one message carries all 64
-  EXPECT_EQ(sieve, 1u);   // a sieved read is one hull fetch
   EXPECT_GE(naive / list, 5u);
 }
 
-TEST_F(NoncontigTest, AutoModePicksSieveForDenseAndListForSparse) {
+TEST_F(NoncontigTest, HullReadOnlyWhileHolesCostAtMostListDescriptors) {
   Config cfg = base_config();
-  cfg.sieve.mode = Config::Sieve::Mode::kAuto;
-  cfg.sieve.max_hull_bytes = 64 * 1024;
-  cfg.obs.enabled = true;  // the strategy spans tell the two paths apart
-  SemplarFile f(fabric_, cfg, "/auto/obj",
+  cfg.obs.enabled = true;  // the kSieve/kListIo spans tell the paths apart
+  SemplarFile f(fabric_, cfg, "/select/obj",
                 mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
                     mpiio::kModeTrunc);
-  const Bytes image = Rng(17).bytes(1 << 20);
+  Bytes image = Rng(17).bytes(16 * 1024);
   f.write_at(0, ByteSpan(image.data(), image.size()));
 
   const auto spans_of = [&](obs::SpanKind kind) {
@@ -227,53 +233,57 @@ TEST_F(NoncontigTest, AutoModePicksSieveForDenseAndListForSparse) {
       if (s.kind == kind) ++n;
     return n;
   };
+  // 64 extents of 64 B; the first hole is `first_gap` bytes, the rest `gap`.
+  const auto pattern = [](std::uint64_t first_gap, std::uint64_t gap) {
+    ExtentList xs{{0, 64}};
+    std::uint64_t at = 64 + first_gap;
+    for (int i = 1; i < 64; ++i, at += 64 + gap) xs.push_back({at, 64});
+    return xs;
+  };
+  const auto read_matches = [&](const ExtentList& xs) {
+    Bytes packed(static_cast<std::size_t>(total_bytes(xs)));
+    const std::uint64_t before = f.stats().snapshot().wire_ops;
+    EXPECT_EQ(f.readv(xs, MutByteSpan(packed.data(), packed.size())),
+              packed.size());
+    EXPECT_EQ(f.stats().snapshot().wire_ops - before, 1u);
+    std::size_t cursor = 0;
+    for (const Extent& x : xs) {
+      EXPECT_EQ(0, std::memcmp(packed.data() + cursor, image.data() + x.offset,
+                               static_cast<std::size_t>(x.len)));
+      cursor += static_cast<std::size_t>(x.len);
+    }
+  };
+  constexpr std::uint64_t kPerExtent = srb::kListReadBytesPerExtent;
+  static_assert(kPerExtent == 16);
 
-  // Dense: 16 extents inside a 16 KiB hull -> sieving -> 1 hull read.
-  ExtentList dense;
-  for (int i = 0; i < 16; ++i)
-    dense.push_back({static_cast<std::uint64_t>(i) * 1024, 256});
-  Bytes dbuf(static_cast<std::size_t>(total_bytes(dense)));
-  std::uint64_t before = f.stats().snapshot().wire_ops;
-  f.readv(dense, MutByteSpan(dbuf.data(), dbuf.size()));
-  EXPECT_EQ(f.stats().snapshot().wire_ops - before, 1u);
+  // Holes totalling exactly 16 B per extent (64 * 16 = 32 + 62 * 16): one
+  // hull fetch.
+  read_matches(pattern(2 * kPerExtent, kPerExtent));
   EXPECT_EQ(spans_of(obs::SpanKind::kSieve), 1u);
   EXPECT_EQ(spans_of(obs::SpanKind::kListIo), 0u);
 
-  // Sparse: extents spread over ~1 MiB > max_hull_bytes -> list I/O.
-  ExtentList sparse;
-  for (int i = 0; i < 16; ++i)
-    sparse.push_back({static_cast<std::uint64_t>(i) * 65536, 256});
-  Bytes sbuf(static_cast<std::size_t>(total_bytes(sparse)));
-  before = f.stats().snapshot().wire_ops;
-  f.readv(sparse, MutByteSpan(sbuf.data(), sbuf.size()));
-  EXPECT_EQ(f.stats().snapshot().wire_ops - before, 1u);  // one list message
+  // One byte more: the list verb.
+  read_matches(pattern(2 * kPerExtent + 1, kPerExtent));
+  EXPECT_EQ(spans_of(obs::SpanKind::kSieve), 1u);
   EXPECT_EQ(spans_of(obs::SpanKind::kListIo), 1u);
-  EXPECT_EQ(spans_of(obs::SpanKind::kSieve), 1u);  // unchanged
 
+  // Holes of 17 B everywhere: the list verb.
+  read_matches(pattern(kPerExtent + 1, kPerExtent + 1));
+  EXPECT_EQ(spans_of(obs::SpanKind::kSieve), 1u);
+  EXPECT_EQ(spans_of(obs::SpanKind::kListIo), 2u);
+
+  // A dense write never takes the hull: one list message, holes untouched.
+  const ExtentList dense = pattern(1, 1);
+  const Bytes fresh =
+      Rng(19).bytes(static_cast<std::size_t>(total_bytes(dense)));
+  const std::uint64_t before = f.stats().snapshot().wire_ops;
+  EXPECT_EQ(f.writev(dense, ByteSpan(fresh.data(), fresh.size())),
+            fresh.size());
+  EXPECT_EQ(f.stats().snapshot().wire_ops - before, 1u);
+  EXPECT_EQ(spans_of(obs::SpanKind::kSieve), 1u);
+  EXPECT_EQ(spans_of(obs::SpanKind::kListIo), 3u);
   std::size_t cursor = 0;
-  for (const Extent& x : sparse) {
-    EXPECT_EQ(0, std::memcmp(sbuf.data() + cursor, image.data() + x.offset,
-                             static_cast<std::size_t>(x.len)));
-    cursor += static_cast<std::size_t>(x.len);
-  }
-}
-
-TEST_F(NoncontigTest, SieveWritePreservesHoleBytes) {
-  Config cfg = base_config();
-  cfg.sieve.mode = Config::Sieve::Mode::kSieve;
-  SemplarFile f(fabric_, cfg, "/sieve/rmw",
-                mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
-                    mpiio::kModeTrunc);
-  Bytes image = Rng(23).bytes(8192);
-  f.write_at(0, ByteSpan(image.data(), image.size()));
-
-  const ExtentList xs{{100, 50}, {1000, 50}, {4000, 50}};
-  const Bytes fresh = Rng(29).bytes(150);
-  EXPECT_EQ(f.writev(xs, ByteSpan(fresh.data(), fresh.size())), 150u);
-
-  // Model: only the extents change; the hull's holes keep the pre-image.
-  std::size_t cursor = 0;
-  for (const Extent& x : xs) {
+  for (const Extent& x : dense) {
     std::copy_n(fresh.data() + cursor, static_cast<std::size_t>(x.len),
                 image.data() + x.offset);
     cursor += static_cast<std::size_t>(x.len);
@@ -284,12 +294,125 @@ TEST_F(NoncontigTest, SieveWritePreservesHoleBytes) {
   EXPECT_EQ(round, image);
 }
 
+TEST_F(NoncontigTest, DenseReadStraddlingEofMatchesListVerb) {
+  // 80 extents of 8 B every 16 B (a hull read); EOF at 996 cuts extent 62
+  // to 4 bytes and leaves 63..79 wholly past it.
+  const Bytes image = Rng(43).bytes(996);
+  ExtentList xs;
+  for (int i = 0; i < 80; ++i)
+    xs.push_back({static_cast<std::uint64_t>(i) * 16, 8});
+  constexpr std::size_t kExpected = 62 * 8 + 4;
+
+  srb::SrbClient client(fabric_, "node0", "orion", 5544);
+  const auto fd =
+      client.open("/eof/dense", srb::kRead | srb::kWrite | srb::kCreate);
+  client.pwrite(fd, ByteSpan(image.data(), image.size()), 0);
+  Bytes want(static_cast<std::size_t>(total_bytes(xs)));
+  ASSERT_EQ(client.preadv(fd, xs, MutByteSpan(want.data(), want.size())),
+            kExpected);
+  client.close(fd);
+
+  Config cfg = base_config();
+  cfg.obs.enabled = true;
+  cfg.streams_per_node = 2;  // the async read splits into two hull reads
+  SemplarFile f(fabric_, cfg, "/eof/dense", mpiio::kModeRead);
+  for (const bool async : {false, true}) {
+    Bytes got(want.size());
+    const MutByteSpan out(got.data(), got.size());
+    const std::size_t n =
+        async ? f.ireadv(xs, out).wait() : f.readv(xs, out);
+    EXPECT_EQ(n, kExpected) << (async ? "ireadv" : "readv");
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), kExpected));
+  }
+  std::size_t hull_reads = 0;
+  for (const obs::Span& s : f.tracer()->snapshot())
+    if (s.kind == obs::SpanKind::kSieve) ++hull_reads;
+  EXPECT_EQ(hull_reads, 3u);  // 1 sync + 1 per stream
+}
+
+TEST_F(NoncontigTest, SparseReadOf4097ExtentsTakesTwoListMessages) {
+  const std::uint32_t count = srb::kMaxListExtents + 1;
+  const Bytes image = Rng(47).bytes(static_cast<std::size_t>(count) * 64);
+  ExtentList xs;
+  for (std::uint32_t i = 0; i < count; ++i)
+    xs.push_back({static_cast<std::uint64_t>(i) * 64, 8});
+
+  SemplarFile f(fabric_, base_config(), "/list/4097",
+                mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
+                    mpiio::kModeTrunc);
+  f.write_at(0, ByteSpan(image.data(), image.size()));
+  Bytes packed(static_cast<std::size_t>(total_bytes(xs)));
+  const std::uint64_t before = f.stats().snapshot().wire_ops;
+  EXPECT_EQ(f.readv(xs, MutByteSpan(packed.data(), packed.size())),
+            packed.size());
+  EXPECT_EQ(f.stats().snapshot().wire_ops - before, 2u);
+  for (std::uint32_t i = 0; i < count; ++i)
+    ASSERT_EQ(0, std::memcmp(packed.data() + i * 8, image.data() + i * 64, 8))
+        << "extent " << i;
+}
+
+// --- concurrent writers ----------------------------------------------------
+
+// Two ranks write interleaved 1 KiB extents of one object at the same time
+// (rank r owns extents 2i + r). Each writes only its own extents, so no
+// byte of the other rank's may be lost, whatever the interleaving.
+TEST_F(NoncontigTest, ConcurrentInterleavedWritevLosesNoByte) {
+  constexpr std::size_t kExtent = 1024;
+  constexpr int kPerRank = 64;
+  constexpr std::size_t kObject = 2 * kPerRank * kExtent;  // 128 KiB
+  for (const bool async : {false, true}) {
+    const std::string path = async ? "/race/iwritev" : "/race/writev";
+    {
+      SemplarFile seed(fabric_, base_config(), path,
+                       mpiio::kModeWrite | mpiio::kModeCreate |
+                           mpiio::kModeTrunc);
+      const Bytes zeros(kObject, 0);
+      seed.write_at(0, ByteSpan(zeros.data(), zeros.size()));
+    }
+    std::latch opened(2);
+    const auto rank = [&](int r) {
+      bool arrived = false;
+      try {
+        SemplarFile f(fabric_, base_config(), path,
+                      mpiio::kModeRead | mpiio::kModeWrite);
+        ExtentList xs;
+        for (int i = 0; i < kPerRank; ++i)
+          xs.push_back(
+              {static_cast<std::uint64_t>(2 * i + r) * kExtent, kExtent});
+        const Bytes fill(kPerRank * kExtent, static_cast<std::uint8_t>(r + 1));
+        const ByteSpan data(fill.data(), fill.size());
+        arrived = true;
+        opened.arrive_and_wait();
+        const std::size_t n =
+            async ? f.iwritev(xs, data).wait() : f.writev(xs, data);
+        EXPECT_EQ(n, fill.size()) << "rank " << r;
+      } catch (const std::exception& e) {
+        if (!arrived) opened.count_down();  // never strand the other rank
+        ADD_FAILURE() << "rank " << r << ": " << e.what();
+      }
+    };
+    std::thread r0(rank, 0);
+    std::thread r1(rank, 1);
+    r0.join();
+    r1.join();
+
+    SemplarFile check(fabric_, base_config(), path, mpiio::kModeRead);
+    Bytes image(kObject);
+    ASSERT_EQ(check.read_at(0, MutByteSpan(image.data(), image.size())),
+              kObject);
+    std::size_t lost = 0;
+    for (std::size_t b = 0; b < kObject; ++b)
+      if (static_cast<std::size_t>(image[b]) != (b / kExtent) % 2 + 1) ++lost;
+    EXPECT_EQ(lost, 0u) << (async ? "iwritev" : "writev") << " lost " << lost
+                        << " of " << kObject << " bytes";
+  }
+}
+
 // --- accounting parity -----------------------------------------------------
 
 TEST_F(NoncontigTest, SingleExtentReadvAccountsExactlyLikeReadAt) {
   Config cfg = base_config();
   cfg.obs.enabled = true;
-  cfg.sieve.mode = Config::Sieve::Mode::kAuto;  // must not matter for 1 extent
   SemplarFile f(fabric_, cfg, "/parity/obj",
                 mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
                     mpiio::kModeTrunc);
@@ -333,10 +456,16 @@ TEST_F(NoncontigTest, SingleExtentReadvAccountsExactlyLikeReadAt) {
   EXPECT_EQ(vec.spans_list, 0u);
 }
 
-// --- randomized property: strategies x cache vs a flat model ---------------
+// --- randomized property: list shapes x cache vs a flat model --------------
+
+// The driver has no strategy setting: it picks the hull or the list verb per
+// request from the holes in the list. So each case steers it by the shape of
+// its hand-built lists, and kNaive issues them through the ADIO base class's
+// per-extent loop, the lowering list I/O replaces.
+enum class Shape { kAuto = 0, kNaive = 1, kSieve = 2, kList = 3 };
 
 struct NoncontigCase {
-  Config::Sieve::Mode mode;
+  Shape shape;
   bool cached;
   bool async;
 };
@@ -344,11 +473,11 @@ struct NoncontigCase {
 std::string noncontig_case_name(
     const ::testing::TestParamInfo<NoncontigCase>& info) {
   const char* m = "auto";
-  switch (info.param.mode) {
-    case Config::Sieve::Mode::kNaive: m = "naive"; break;
-    case Config::Sieve::Mode::kSieve: m = "sieve"; break;
-    case Config::Sieve::Mode::kList: m = "list"; break;
-    case Config::Sieve::Mode::kAuto: m = "auto"; break;
+  switch (info.param.shape) {
+    case Shape::kNaive: m = "naive"; break;
+    case Shape::kSieve: m = "sieve"; break;
+    case Shape::kList: m = "list"; break;
+    case Shape::kAuto: m = "auto"; break;
   }
   return std::string(m) + (info.param.cached ? "_cached" : "_uncached") +
          (info.param.async ? "_async" : "_sync");
@@ -360,8 +489,7 @@ class NoncontigProperty : public NoncontigTest,
 TEST_P(NoncontigProperty, StridedViewMatchesFlatModel) {
   const NoncontigCase c = GetParam();
   Config cfg = base_config();
-  cfg.sieve.mode = c.mode;
-  cfg.sieve.max_hull_bytes = 16 * 1024;  // auto mode exercises both paths
+  cfg.obs.enabled = true;  // the kSieve/kListIo spans show which path ran
   if (c.cached) {
     cfg.cache_bytes = 256 * 1024;
     cfg.cache_block_bytes = 16 * 1024;  // small blocks: exercise eviction
@@ -373,7 +501,7 @@ TEST_P(NoncontigProperty, StridedViewMatchesFlatModel) {
                 mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
                     mpiio::kModeTrunc);
 
-  Rng rng(static_cast<std::uint64_t>(c.mode) * 1000 + c.cached * 10 + c.async);
+  Rng rng(static_cast<std::uint64_t>(c.shape) * 1000 + c.cached * 10 + c.async);
   Bytes model = rng.bytes(48 * 1024);
   f.write_at(0, ByteSpan(model.data(), model.size()));
 
@@ -429,37 +557,63 @@ TEST_P(NoncontigProperty, StridedViewMatchesFlatModel) {
     }
   }
 
-  // Direct vectored calls against hand-built lists (identity view).
+  const auto strategy_spans = [&](obs::SpanKind kind) {
+    std::size_t n = 0;
+    for (const obs::Span& s : f.handle().tracer()->snapshot())
+      if (s.kind == kind) ++n;
+    return n;
+  };
+  const std::size_t hull_before = strategy_spans(obs::SpanKind::kSieve);
+  const std::size_t list_before = strategy_spans(obs::SpanKind::kListIo);
+
+  // Direct vectored calls against hand-built lists (identity view). Writes
+  // and reads alternate. A dense list has holes of 1-16 B, at most the 16 B
+  // a list read spends per extent, so reading it takes the hull; a sparse
+  // one has holes of 33 B or more, so even two extents take the list verb.
+  // kAuto and kNaive alternate dense and sparse pairs.
+  constexpr std::uint64_t kPerExtent = srb::kListReadBytesPerExtent;
+  using AdioHandle = mpiio::adio::FileHandle;
+  std::size_t hull_reads = 0, list_transfers = 0;
   f.set_view(mpiio::FileView{});
   for (int it = 0; it < 12; ++it) {
+    const bool dense = c.shape == Shape::kSieve ||
+                       ((c.shape == Shape::kAuto || c.shape == Shape::kNaive) &&
+                        it % 4 < 2);
     ExtentList xs;
     std::uint64_t cursor = rng.below(1024);
-    const int n = static_cast<int>(1 + rng.below(24));
+    const int n = static_cast<int>(2 + rng.below(23));
     for (int i = 0; i < n && cursor + 512 < model.size(); ++i) {
       const std::uint64_t len = 1 + rng.below(300);
       xs.push_back({cursor, len});
-      cursor += len + 1 + rng.below(700);
+      cursor += len + (dense ? 1 + rng.below(kPerExtent)
+                             : 2 * kPerExtent + 1 + rng.below(700));
     }
-    if (xs.empty() || xs.back().end() > model.size()) continue;
+    if (xs.size() < 2 || xs.back().end() > model.size()) continue;
     Bytes packed(static_cast<std::size_t>(total_bytes(xs)));
-    if (rng.chance(0.5)) {
+    if (it % 2 == 0) {
       const Bytes data = rng.bytes(packed.size());
-      if (c.async) {
-        mpiio::IoRequest r = f.iwritev(xs, ByteSpan(data.data(), data.size()));
+      const ByteSpan in(data.data(), data.size());
+      if (c.shape == Shape::kNaive) {
+        ASSERT_EQ(f.handle().AdioHandle::writev(xs, in), data.size());
+      } else if (c.async) {
+        mpiio::IoRequest r = f.iwritev(xs, in);
         ASSERT_EQ(r.wait(), data.size());
       } else {
-        ASSERT_EQ(f.writev(xs, ByteSpan(data.data(), data.size())),
-                  data.size());
+        ASSERT_EQ(f.writev(xs, in), data.size());
       }
+      ++list_transfers;
       apply_model(xs, data);
     } else {
-      if (c.async) {
-        mpiio::IoRequest r = f.ireadv(xs, MutByteSpan(packed.data(), packed.size()));
+      const MutByteSpan out(packed.data(), packed.size());
+      if (c.shape == Shape::kNaive) {
+        ASSERT_EQ(f.handle().AdioHandle::readv(xs, out), packed.size());
+      } else if (c.async) {
+        mpiio::IoRequest r = f.ireadv(xs, out);
         ASSERT_EQ(r.wait(), packed.size());
       } else {
-        ASSERT_EQ(f.readv(xs, MutByteSpan(packed.data(), packed.size())),
-                  packed.size());
+        ASSERT_EQ(f.readv(xs, out), packed.size());
       }
+      ++(dense ? hull_reads : list_transfers);
       expect_model(xs, packed);
     }
   }
@@ -470,20 +624,46 @@ TEST_P(NoncontigProperty, StridedViewMatchesFlatModel) {
   ASSERT_EQ(f.read_at(0, MutByteSpan(final_image.data(), final_image.size())),
             final_image.size());
   EXPECT_EQ(final_image, model);
+
+  // The cache bypasses both wire paths. Without it, every vectored call took
+  // the path its shape picks: one span per sync call, one per stream subset
+  // for an async one, and none at all for the per-extent loop.
+  if (!c.cached) {
+    const std::size_t hull = strategy_spans(obs::SpanKind::kSieve) - hull_before;
+    const std::size_t list = strategy_spans(obs::SpanKind::kListIo) - list_before;
+    if (c.shape == Shape::kNaive) {
+      EXPECT_EQ(hull, 0u);
+      EXPECT_EQ(list, 0u);
+    } else if (c.async) {
+      EXPECT_GE(hull, hull_reads);
+      EXPECT_GE(list, list_transfers);
+    } else {
+      EXPECT_EQ(hull, hull_reads);
+      EXPECT_EQ(list, list_transfers);
+    }
+    if (c.shape == Shape::kSieve || c.shape == Shape::kAuto) {
+      EXPECT_GE(hull, 1u);
+    }
+    if (c.shape == Shape::kList || c.shape == Shape::kAuto) {
+      EXPECT_GE(list, 1u);
+    }
+    if (c.shape == Shape::kList) {
+      EXPECT_EQ(hull, 0u);
+    }
+  }
   f.close();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     StrategiesAndCache, NoncontigProperty,
-    ::testing::Values(
-        NoncontigCase{Config::Sieve::Mode::kNaive, false, false},
-        NoncontigCase{Config::Sieve::Mode::kSieve, false, false},
-        NoncontigCase{Config::Sieve::Mode::kList, false, false},
-        NoncontigCase{Config::Sieve::Mode::kAuto, false, true},
-        NoncontigCase{Config::Sieve::Mode::kNaive, true, false},
-        NoncontigCase{Config::Sieve::Mode::kSieve, true, true},
-        NoncontigCase{Config::Sieve::Mode::kList, true, false},
-        NoncontigCase{Config::Sieve::Mode::kAuto, true, true}),
+    ::testing::Values(NoncontigCase{Shape::kNaive, false, false},
+                      NoncontigCase{Shape::kSieve, false, false},
+                      NoncontigCase{Shape::kList, false, false},
+                      NoncontigCase{Shape::kAuto, false, true},
+                      NoncontigCase{Shape::kNaive, true, false},
+                      NoncontigCase{Shape::kSieve, true, true},
+                      NoncontigCase{Shape::kList, true, false},
+                      NoncontigCase{Shape::kAuto, true, true}),
     noncontig_case_name);
 
 // --- the portable layer: validation, views, default async verbs -----------
