@@ -30,6 +30,7 @@
 #include "minimpi/runtime.hpp"
 #include "obs/histogram.hpp"
 #include "obs/tracer.hpp"
+#include "simnet/socket.hpp"
 #include "simnet/timescale.hpp"
 #include "simnet/token_bucket.hpp"
 #include "srb/mcat.hpp"
@@ -79,22 +80,36 @@ void BM_TokenBucketFastRate(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenBucketFastRate);
 
-void BM_ProtocolFrameEncode(benchmark::State& state) {
-  Bytes payload(static_cast<std::size_t>(state.range(0)), 'p');
+/// One kObjWrite frame through the real framing path: the gather send into
+/// an unshaped socket pair (its one copy, into the pipe chunk), then
+/// recv_frame on the far end; with `crc`, the sender's CRC over the pieces
+/// and strip_frame_crc's verify too.
+void frame_round_trip(benchmark::State& state, bool crc) {
+  const Bytes payload(static_cast<std::size_t>(state.range(0)), 'p');
+  auto [tx, rx] = simnet::Socket::make_pair(simnet::ConnShaping{}, "a", "b");
+  Bytes head;
+  ByteWriter w(head);
+  w.i32(3);
+  w.i64(-1);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  FrameBuffer frame;
   for (auto _ : state) {
-    Bytes msg;
-    ByteWriter w(msg);
-    w.u32(static_cast<std::uint32_t>(payload.size() + 13));
-    w.u8(static_cast<std::uint8_t>(srb::Op::kObjWrite));
-    w.i32(3);
-    w.i64(-1);
-    w.blob(ByteSpan(payload.data(), payload.size()));
-    benchmark::DoNotOptimize(msg.data());
+    srb::send_request(*tx, static_cast<std::uint8_t>(srb::Op::kObjWrite),
+                      {head, payload}, crc);
+    if (!srb::recv_frame(*rx, frame) || (crc && !srb::strip_frame_crc(frame))) {
+      state.SkipWithError("frame did not round-trip");
+      break;
+    }
+    benchmark::DoNotOptimize(frame.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_ProtocolFrameEncode)->Arg(4 << 10)->Arg(256 << 10);
+
+void BM_ProtocolFrameRoundTrip(benchmark::State& state) {
+  frame_round_trip(state, /*crc=*/false);
+}
+BENCHMARK(BM_ProtocolFrameRoundTrip)->Arg(4 << 10)->Arg(256 << 10);
 
 /// The integrity primitive itself: one-shot CRC32C over typical sizes (a
 /// small RPC, an I/O chunk, an at-rest checksum block). The label records
@@ -111,26 +126,13 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
-/// Frame build + CRC trailer, the full sender-side cost of a checksummed
-/// wire frame — compare against BM_ProtocolFrameEncode at the same size
-/// for the integrity delta the ≤5% overhead budget is about.
-void BM_ProtocolFrameEncodeCrc(benchmark::State& state) {
-  Bytes payload(static_cast<std::size_t>(state.range(0)), 'p');
-  for (auto _ : state) {
-    Bytes msg;
-    ByteWriter w(msg);
-    w.u32(static_cast<std::uint32_t>(payload.size() + 13 + 4));
-    w.u8(static_cast<std::uint8_t>(srb::Op::kObjWrite));
-    w.i32(3);
-    w.i64(-1);
-    w.blob(ByteSpan(payload.data(), payload.size()));
-    w.u32(remio::crc32c(ByteSpan(msg.data() + 4, msg.size() - 4)));
-    benchmark::DoNotOptimize(msg.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+/// The checksummed frame round trip: compare against
+/// BM_ProtocolFrameRoundTrip at the same size for the integrity delta the
+/// ≤5% overhead budget is about.
+void BM_ProtocolFrameRoundTripCrc(benchmark::State& state) {
+  frame_round_trip(state, /*crc=*/true);
 }
-BENCHMARK(BM_ProtocolFrameEncodeCrc)->Arg(4 << 10)->Arg(256 << 10);
+BENCHMARK(BM_ProtocolFrameRoundTripCrc)->Arg(4 << 10)->Arg(256 << 10);
 
 void BM_KmerIndexBuild(benchmark::State& state) {
   bio::SynthConfig cfg;

@@ -1,11 +1,14 @@
 // Byte-buffer helpers shared by the wire protocol, codecs and I/O layers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace remio {
@@ -16,6 +19,37 @@ using Bytes = std::vector<char>;
 
 using ByteSpan = std::span<const char>;
 using MutByteSpan = std::span<char>;
+
+/// Reusable buffer for bytes that are overwritten as soon as it grows: a
+/// frame being received, store bytes being staged for a reply. Unlike
+/// Bytes, growing it never writes the new bytes: no zero-fill, and no
+/// per-byte construction either, which unoptimized builds would run.
+class FrameBuffer {
+ public:
+  char* data() { return buf_.get(); }
+  const char* data() const { return buf_.get(); }
+  std::size_t size() const { return size_; }
+  char& operator[](std::size_t i) { return buf_[i]; }
+  char operator[](std::size_t i) const { return buf_[i]; }
+
+  /// Keeps the first min(size(), n) bytes; the bytes past the old size
+  /// are unspecified until written.
+  void resize(std::size_t n) {
+    if (n > cap_) {
+      const std::size_t cap = std::max(n, 2 * cap_);
+      auto bigger = std::make_unique_for_overwrite<char[]>(cap);
+      if (size_ > 0) std::memcpy(bigger.get(), buf_.get(), size_);
+      buf_ = std::move(bigger);
+      cap_ = cap;
+    }
+    size_ = n;
+  }
+
+ private:
+  std::unique_ptr<char[]> buf_;
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
+};
 
 inline Bytes to_bytes(std::string_view s) { return Bytes(s.begin(), s.end()); }
 inline std::string to_string(ByteSpan b) { return std::string(b.begin(), b.end()); }

@@ -45,6 +45,7 @@ std::size_t Pipe::pop(MutByteSpan out) {
     front.offset += n;
     bytes_ -= n;
     if (front.offset == front.data.size()) {
+      front.data = Bytes();  // free the chunk now, not at the next compaction
       ++head_;
       if (head_ > 64 && head_ * 2 > q_.size()) {
         q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
@@ -85,10 +86,13 @@ void Socket::set_fault(std::shared_ptr<FaultInjector> fault, std::string tag,
   fault_corrupt_only_ = corrupt_only;
 }
 
-void Socket::send_all(ByteSpan data) {
+void Socket::send_all(std::span<const ByteSpan> pieces) {
   if (closed_.load(std::memory_order_acquire))
     throw NetError("send on closed socket");
-  Bytes mangled;  // only materialized when a corruption fires
+  std::size_t total = 0;
+  for (const ByteSpan& p : pieces) total += p.size();
+  std::size_t flip_at = total;  // frame byte to corrupt; total = none
+  char flip_mask = 0;
   if (fault_ != nullptr) {
     if (!fault_corrupt_only_) {
       const double spike = fault_->latency_penalty();
@@ -106,23 +110,34 @@ void Socket::send_all(ByteSpan data) {
     // checksum while the kernel preserves segmentation) the framing stays
     // in phase and only the content arrives wrong.
     std::uint64_t bit = 0;
-    if (data.size() > 4 &&
-        fault_->corrupt_send(tag_, (data.size() - 4) * 8, bit)) {
-      mangled.assign(data.begin(), data.end());
-      mangled[4 + static_cast<std::size_t>(bit / 8)] ^=
-          static_cast<char>(1u << (bit % 8));
-      data = ByteSpan(mangled.data(), mangled.size());
+    if (total > 4 && fault_->corrupt_send(tag_, (total - 4) * 8, bit)) {
+      flip_at = 4 + static_cast<std::size_t>(bit / 8);
+      flip_mask = static_cast<char>(1u << (bit % 8));
     }
   }
   std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t n = std::min(quantum_, data.size() - off);
+  std::size_t piece = 0;      // next piece to gather from
+  std::size_t piece_off = 0;  // bytes of it already sent
+  while (off < total) {
+    const std::size_t n = std::min(quantum_, total - off);
     if (stream_cap_) stream_cap_->acquire(n);
     // Class 1 = WAN socket traffic; distinguishes it from interconnect
     // traffic (class 2) on buckets with a contention model (node I/O bus).
     for (const auto& res : path_) res->acquire(n, 1);
-    Bytes chunk(data.begin() + static_cast<std::ptrdiff_t>(off),
-                data.begin() + static_cast<std::ptrdiff_t>(off + n));
+    Bytes chunk;
+    chunk.reserve(n);
+    while (chunk.size() < n) {
+      const ByteSpan p = pieces[piece].subspan(piece_off);
+      const std::size_t take = std::min(p.size(), n - chunk.size());
+      chunk.insert(chunk.end(), p.begin(),
+                   p.begin() + static_cast<std::ptrdiff_t>(take));
+      piece_off += take;
+      if (piece_off == pieces[piece].size()) {
+        ++piece;
+        piece_off = 0;
+      }
+    }
+    if (flip_at >= off && flip_at < off + n) chunk[flip_at - off] ^= flip_mask;
     tx_->push(std::move(chunk), sim_now() + latency_);
     off += n;
     bytes_sent_.fetch_add(n, std::memory_order_relaxed);

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -95,9 +96,15 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  /// Sends the whole span, charging shaping resources per quantum.
-  /// Throws NetError if the peer is gone.
-  void send_all(ByteSpan data);
+  /// Sends the concatenation of `pieces`, charging shaping resources per
+  /// quantum. Each quantum is gathered straight from the pieces into its
+  /// pipe chunk (the simulated wire), which is the one copy a send makes;
+  /// in-flight corruption flips a bit of that chunk, never of a piece. One
+  /// call is one fault draw. Throws NetError if the peer is gone.
+  void send_all(std::span<const ByteSpan> pieces);
+  void send_all(ByteSpan data) {
+    send_all(std::span<const ByteSpan>(&data, 1));
+  }
 
   /// Receives at least one byte (blocking); returns 0 on EOF.
   std::size_t recv_some(MutByteSpan out);

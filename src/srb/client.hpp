@@ -77,6 +77,13 @@ class SrbClient {
   void close(std::int32_t fd);
 
   /// pread/pwrite (explicit offset, does not move the file pointer).
+  ///
+  /// Every read verb (pread, preadv, read) lands the reply's payload
+  /// straight in `out` and verifies the frame's CRC afterwards, so when it
+  /// throws, `out` holds unspecified bytes: a caller counts nothing in it as
+  /// read unless the call returned. A reply whose payload is longer than
+  /// requested, or disagrees with its own length fields, is drained (the
+  /// stream stays in phase) and throws kProtocol.
   std::size_t pread(std::int32_t fd, MutByteSpan out, std::uint64_t offset);
   std::size_t pwrite(std::int32_t fd, ByteSpan data, std::uint64_t offset);
 
@@ -120,8 +127,8 @@ class SrbClient {
   const std::string& server_banner() const { return banner_; }
   std::uint64_t bytes_sent() const { return sock_->bytes_sent(); }
   std::uint64_t bytes_received() const { return sock_->bytes_received(); }
-  /// Protocol round-trips issued so far (each rpc() is one request/response
-  /// pair on the wire); lets tests verify e.g. that one list-I/O message
+  /// Protocol round-trips issued so far (each is one request/response pair
+  /// on the wire); lets tests verify e.g. that one list-I/O message
   /// really carried N extents.
   std::uint64_t rpc_count() const {
     return rpc_count_.load(std::memory_order_relaxed);
@@ -138,13 +145,38 @@ class SrbClient {
   static constexpr std::size_t kMaxIoChunk = 8u << 20;
 
  private:
-  /// Sends a request and receives its response body; returns the status.
-  Status rpc(Op op, const Bytes& payload, Bytes& response);
-  /// Like rpc() but throws SrbError unless status == kOk.
-  Bytes rpc_ok(Op op, const Bytes& payload, const char* what);
+  /// A decoded reply: its status, a reader over the rest of the fixed head
+  /// (a view of rx_, valid while mu_ stays held) and the length of the
+  /// payload that followed the head.
+  struct Reply {
+    Status status;
+    ByteReader head;
+    std::size_t payload;
+  };
+
+  /// Clears tx_ and returns a writer for the next request's head. Caller
+  /// holds mu_.
+  ByteWriter begin_request();
+  /// One request/reply exchange; caller holds mu_. Sends [op][tx_][body] as
+  /// one frame. Receives the reply's first `head` content bytes (status
+  /// included) into rx_ and the payload after them into `land`; a payload
+  /// longer than `land` is drained into rx_. Then verifies the CRC.
+  Reply call(Op op, ByteSpan body = {}, std::size_t head = SIZE_MAX,
+             MutByteSpan land = {});
+  /// call() that throws SrbError unless the status is kOk.
+  Reply call_ok(Op op, const char* what, ByteSpan body = {},
+                std::size_t head = SIZE_MAX, MutByteSpan land = {});
+  /// pread (offset >= 0) and read (offset < 0: the file pointer).
+  std::size_t read_chunks(std::int32_t fd, MutByteSpan out,
+                          std::int64_t offset);
+  /// pwrite (offset >= 0) and write (offset < 0: the file pointer).
+  std::size_t write_chunks(std::int32_t fd, ByteSpan data,
+                           std::int64_t offset);
 
   std::unique_ptr<simnet::Socket> sock_;
-  std::mutex mu_;  // serializes request/response pairs on the stream
+  std::mutex mu_;  // serializes request/response pairs; guards tx_ and rx_
+  Bytes tx_;        // the request head being encoded
+  FrameBuffer rx_;  // the reply being decoded, minus any landed payload
   std::string banner_;
   std::atomic<std::uint64_t> rpc_count_{0};
   std::atomic<std::uint64_t> crc_failures_{0};

@@ -44,17 +44,20 @@ std::shared_ptr<ObjectStore::Object> ObjectStore::find(ObjectId id) const {
 namespace {
 
 /// Hands visit(block, crc) the CRC of every kChecksumBlock block that
-/// overlaps [begin, end) of `data`, in order, until visit returns false.
+/// overlaps [begin, end) of `data`, from block `next` on, in order, until
+/// visit returns false. `next` ends one past the last block visited.
 template <class Visit>
 void walk_blocks(const Bytes& data, std::uint64_t begin, std::uint64_t end,
-                 Visit visit) {
+                 std::uint64_t& next, Visit visit) {
   const std::uint64_t bs = ObjectStore::kChecksumBlock;
   end = std::min<std::uint64_t>(end, data.size());
   if (begin >= end) return;
-  for (std::uint64_t lo = begin / bs * bs; lo < end; lo += bs) {
+  for (std::uint64_t b = std::max(begin / bs, next); b * bs < end; ++b) {
+    const std::uint64_t lo = b * bs;
     const std::uint64_t hi = std::min<std::uint64_t>(lo + bs, data.size());
-    if (!visit(lo / bs, crc32c(ByteSpan(data.data() + lo,
-                                        static_cast<std::size_t>(hi - lo)))))
+    next = b + 1;
+    if (!visit(b, crc32c(ByteSpan(data.data() + lo,
+                                  static_cast<std::size_t>(hi - lo)))))
       return;
   }
 }
@@ -62,69 +65,102 @@ void walk_blocks(const Bytes& data, std::uint64_t begin, std::uint64_t end,
 }  // namespace
 
 void ObjectStore::rehash_range(Object& obj, std::uint64_t begin,
-                               std::uint64_t end) const {
+                               std::uint64_t end, std::uint64_t& next) const {
   const std::uint64_t bs = kChecksumBlock;
   obj.sums.resize(static_cast<std::size_t>((obj.data.size() + bs - 1) / bs));
-  walk_blocks(obj.data, begin, end, [&](std::uint64_t b, std::uint32_t crc) {
-    obj.sums[static_cast<std::size_t>(b)] = crc;
-    return true;
-  });
+  walk_blocks(obj.data, begin, end, next,
+              [&](std::uint64_t b, std::uint32_t crc) {
+                obj.sums[static_cast<std::size_t>(b)] = crc;
+                return true;
+              });
 }
 
 std::int64_t ObjectStore::verify_range(const Object& obj, std::uint64_t begin,
-                                       std::uint64_t end) const {
+                                       std::uint64_t end,
+                                       std::uint64_t& next) const {
   std::int64_t bad = -1;
-  walk_blocks(obj.data, begin, end, [&](std::uint64_t b, std::uint32_t crc) {
-    if (crc == obj.sums[static_cast<std::size_t>(b)]) return true;
-    bad = static_cast<std::int64_t>(b);
-    return false;
-  });
+  walk_blocks(obj.data, begin, end, next,
+              [&](std::uint64_t b, std::uint32_t crc) {
+                if (crc == obj.sums[static_cast<std::size_t>(b)]) return true;
+                bad = static_cast<std::int64_t>(b);
+                return false;
+              });
   return bad;
 }
 
 std::size_t ObjectStore::pread(ObjectId id, MutByteSpan out,
                                std::uint64_t offset) {
+  const Extent x{offset, out.size()};
+  return preadv(id, std::span<const Extent>(&x, 1), out);
+}
+
+std::size_t ObjectStore::preadv(ObjectId id, std::span<const Extent> extents,
+                                MutByteSpan out) {
   auto obj = find(id);
-  std::size_t n = 0;
+  std::size_t total = 0;
   {
     std::lock_guard lk(obj->mu);
     if (obj->quarantined)
       throw IntegrityError(id, "object " + std::to_string(id) +
                                    " is quarantined pending repair",
                            /*quarantined=*/true);
-    if (offset < obj->data.size()) {
-      n = std::min<std::size_t>(out.size(), obj->data.size() - offset);
-      const std::int64_t bad = verify_range(*obj, offset, offset + n);
+    const std::uint64_t size = obj->data.size();
+    std::uint64_t next = 0;  // first block not yet verified
+    for (const Extent& x : extents) {
+      if (x.offset >= size) break;
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(x.len, size - x.offset));
+      const std::int64_t bad = verify_range(*obj, x.offset, x.offset + n, next);
       if (bad >= 0)
         throw IntegrityError(
             id,
             "at-rest checksum mismatch in object " + std::to_string(id) +
                 " block " + std::to_string(bad),
             /*quarantined=*/false);
-      std::copy_n(obj->data.data() + offset, n, out.data());
+      std::copy_n(obj->data.data() + x.offset, n, out.data() + total);
+      total += n;
+      if (n < x.len) break;
     }
   }
-  disk_read_.acquire(n);  // charge outside the object lock
-  return n;
+  disk_read_.acquire(total);  // charge outside the object lock
+  return total;
 }
 
 std::uint64_t ObjectStore::pwrite(ObjectId id, ByteSpan data,
                                   std::uint64_t offset) {
+  const Extent x{offset, data.size()};
+  return pwritev(id, std::span<const Extent>(&x, 1), data);
+}
+
+std::uint64_t ObjectStore::pwritev(ObjectId id, std::span<const Extent> extents,
+                                   ByteSpan data) {
   auto obj = find(id);
   std::uint64_t growth = 0;
   {
     std::lock_guard lk(obj->mu);
-    const std::uint64_t end = offset + data.size();
-    // The zero-extension gap [old size, offset) gets fresh bytes too, so
-    // its blocks need new sums along with the written range.
-    const std::uint64_t touch_begin =
-        std::min<std::uint64_t>(offset, obj->data.size());
-    if (obj->data.size() < end) {
-      growth = end - obj->data.size();
+    const std::uint64_t old_size = obj->data.size();
+    std::uint64_t end = old_size;
+    for (const Extent& x : extents) end = std::max(end, x.end());
+    if (end > old_size) {
+      growth = end - old_size;
       obj->data.resize(end, '\0');
     }
-    std::copy_n(data.data(), data.size(), obj->data.data() + offset);
-    rehash_range(*obj, touch_begin, end);
+    std::size_t consumed = 0;
+    for (const Extent& x : extents) {
+      std::copy_n(data.data() + consumed, x.len, obj->data.data() + x.offset);
+      consumed += x.len;
+    }
+    // Hash after every extent landed: two extents may share a block. The
+    // zero-extension gap in front of an extent, [old size, offset), gets
+    // fresh bytes too, so its blocks need new sums along with the extent.
+    std::uint64_t next = 0;
+    std::uint64_t prev_end = 0;
+    for (const Extent& x : extents) {
+      const std::uint64_t touch =
+          std::min(x.offset, std::max(old_size, prev_end));
+      rehash_range(*obj, touch, x.end(), next);
+      prev_end = x.end();
+    }
   }
   disk_write_.acquire(data.size());
   return growth;
@@ -138,8 +174,9 @@ std::int64_t ObjectStore::truncate(ObjectId id, std::uint64_t size) {
       static_cast<std::int64_t>(size) - static_cast<std::int64_t>(old);
   obj->data.resize(size, '\0');
   // Shrink: the (new) last block changed shape. Grow: the zero tail is new.
+  std::uint64_t next = 0;
   rehash_range(*obj, std::min(old, size) > 0 ? std::min(old, size) - 1 : 0,
-               size);
+               size, next);
   return delta;
 }
 
@@ -188,7 +225,8 @@ ScrubReport ObjectStore::scrub() {
     const std::uint64_t bs = kChecksumBlock;
     rep.blocks += (obj->data.size() + bs - 1) / bs;
     std::uint64_t mismatched = 0;
-    walk_blocks(obj->data, 0, obj->data.size(),
+    std::uint64_t next = 0;
+    walk_blocks(obj->data, 0, obj->data.size(), next,
                 [&](std::uint64_t b, std::uint32_t crc) {
                   if (crc != obj->sums[static_cast<std::size_t>(b)])
                     ++mismatched;

@@ -16,10 +16,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/extent.hpp"
 #include "simnet/token_bucket.hpp"
 #include "srb/mcat.hpp"
 
@@ -78,11 +80,27 @@ class ObjectStore {
   /// or when the object is quarantined.
   std::size_t pread(ObjectId id, MutByteSpan out, std::uint64_t offset);
 
+  /// List read: packs each extent's bytes into `out` in list order and
+  /// returns the total. Extents are sorted and non-overlapping and `out`
+  /// holds their total length; the read stops at the first short extent
+  /// (the one EOF cuts), so extent i got min(len_i, bytes left of the
+  /// total). One object lock, and each touched checksum block is verified
+  /// once however many extents it holds. Throws like pread.
+  std::size_t preadv(ObjectId id, std::span<const Extent> extents,
+                     MutByteSpan out);
+
   /// pwrite semantics: writes all of `data` at `offset`, zero-extending any
   /// gap. Concurrent writers to disjoint ranges are safe. Returns the
   /// object's growth in bytes (0 for a pure overwrite), computed under the
   /// per-object mutex, so per-tenant footprints can be settled exactly.
   std::uint64_t pwrite(ObjectId id, ByteSpan data, std::uint64_t offset);
+
+  /// List write: extent i takes the next len_i bytes of `data` (sorted,
+  /// non-overlapping extents summing to data.size()). Returns the growth
+  /// like pwrite. One object lock, and each touched checksum block is
+  /// rehashed once.
+  std::uint64_t pwritev(ObjectId id, std::span<const Extent> extents,
+                        ByteSpan data);
 
   /// Returns the signed size delta (new - old), exact under the object mutex.
   std::int64_t truncate(ObjectId id, std::uint64_t size);
@@ -114,13 +132,16 @@ class ObjectStore {
   };
 
   std::shared_ptr<Object> find(ObjectId id) const;
-  /// Recomputes sums for the blocks covering [begin, end); caller holds
-  /// the object mutex.
-  void rehash_range(Object& obj, std::uint64_t begin, std::uint64_t end) const;
-  /// Verifies the blocks covering [begin, end); returns the index of the
-  /// first bad block or -1. Caller holds the object mutex.
+  /// Recomputes sums for the blocks covering [begin, end) from block
+  /// `next` on, and moves `next` past them, so a sorted run of ranges
+  /// hashes each block once. Caller holds the object mutex.
+  void rehash_range(Object& obj, std::uint64_t begin, std::uint64_t end,
+                    std::uint64_t& next) const;
+  /// Verifies the blocks covering [begin, end) from block `next` on, moving
+  /// `next` like rehash_range; returns the index of the first bad block or
+  /// -1. Caller holds the object mutex.
   std::int64_t verify_range(const Object& obj, std::uint64_t begin,
-                            std::uint64_t end) const;
+                            std::uint64_t end, std::uint64_t& next) const;
 
   mutable std::mutex mu_;
   std::map<ObjectId, std::shared_ptr<Object>> objects_;

@@ -1,5 +1,8 @@
 #include "srb/protocol.hpp"
 
+#include <array>
+#include <stdexcept>
+
 #include "common/checksum.hpp"
 
 namespace remio::srb {
@@ -22,50 +25,54 @@ const char* status_name(Status s) {
 }
 
 namespace {
-void send_framed(simnet::Socket& sock, ByteSpan head, ByteSpan body,
-                 bool with_crc) {
-  Bytes msg;
-  msg.reserve(4 + head.size() + body.size() + (with_crc ? 4 : 0));
-  ByteWriter w(msg);
-  w.u32(static_cast<std::uint32_t>(head.size() + body.size() +
-                                   (with_crc ? 4 : 0)));
-  w.raw(head);
-  w.raw(body);
-  if (with_crc) {
-    Crc32c crc;
-    crc.update(head);
-    crc.update(body);
-    w.u32(crc.value());
+
+/// Frame bodies have at most this many pieces (a read reply has two).
+constexpr std::size_t kMaxBodyPieces = 4;
+
+void send_framed(simnet::Socket& sock, ByteSpan head,
+                 std::initializer_list<ByteSpan> body, bool crc) {
+  if (body.size() > kMaxBodyPieces)
+    throw std::invalid_argument("send_framed: too many body pieces");
+  std::array<ByteSpan, kMaxBodyPieces + 2> pieces;
+  std::size_t count = 0;
+  std::size_t len = head.size() + (crc ? 4 : 0);
+  for (const ByteSpan& b : body) len += b.size();
+  char prefix[8];
+  const auto len32 = static_cast<std::uint32_t>(len);
+  std::memcpy(prefix, &len32, 4);
+  std::memcpy(prefix + 4, head.data(), head.size());
+  pieces[count++] = ByteSpan(prefix, 4 + head.size());
+  Crc32c sum;
+  if (crc) sum.update(head);
+  for (const ByteSpan& b : body) {
+    pieces[count++] = b;
+    if (crc) sum.update(b);
   }
-  sock.send_all(msg);
+  char trailer[4];
+  if (crc) {
+    const std::uint32_t v = sum.value();
+    std::memcpy(trailer, &v, 4);
+    pieces[count++] = ByteSpan(trailer, 4);
+  }
+  sock.send_all(std::span<const ByteSpan>(pieces.data(), count));
 }
+
 }  // namespace
 
-void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body) {
-  const char h = static_cast<char>(head);
-  send_framed(sock, ByteSpan(&h, 1), body, /*with_crc=*/false);
+void send_request(simnet::Socket& sock, std::uint8_t op,
+                  std::initializer_list<ByteSpan> body, bool crc) {
+  const char h = static_cast<char>(op);
+  send_framed(sock, ByteSpan(&h, 1), body, crc);
 }
 
-void send_frame2(simnet::Socket& sock, std::int32_t status, ByteSpan body) {
-  Bytes head;
-  ByteWriter w(head);
-  w.i32(status);
-  send_framed(sock, head, body, /*with_crc=*/false);
+void send_reply(simnet::Socket& sock, std::int32_t status,
+                std::initializer_list<ByteSpan> body, bool crc) {
+  char h[4];
+  std::memcpy(h, &status, 4);
+  send_framed(sock, ByteSpan(h, 4), body, crc);
 }
 
-void send_frame_crc(simnet::Socket& sock, std::uint8_t head, ByteSpan body) {
-  const char h = static_cast<char>(head);
-  send_framed(sock, ByteSpan(&h, 1), body, /*with_crc=*/true);
-}
-
-void send_frame2_crc(simnet::Socket& sock, std::int32_t status, ByteSpan body) {
-  Bytes head;
-  ByteWriter w(head);
-  w.i32(status);
-  send_framed(sock, head, body, /*with_crc=*/true);
-}
-
-bool strip_frame_crc(Bytes& frame) {
+bool strip_frame_crc(FrameBuffer& frame) {
   if (frame.size() < 5) return false;  // head byte + trailer at minimum
   const std::size_t content = frame.size() - 4;
   std::uint32_t wire;
@@ -75,17 +82,20 @@ bool strip_frame_crc(Bytes& frame) {
   return true;
 }
 
-bool recv_frame(simnet::Socket& sock, Bytes& out) {
+bool recv_frame_len(simnet::Socket& sock, std::uint32_t& len) {
   char lenbuf[4];
   const std::size_t first = sock.recv_some(MutByteSpan(lenbuf, 4));
   if (first == 0) return false;  // clean EOF between frames
   if (first < 4 && !sock.recv_all(MutByteSpan(lenbuf + first, 4 - first)))
     throw simnet::NetError("truncated frame length");
-
-  std::uint32_t len;
   std::memcpy(&len, lenbuf, 4);
   if (len == 0 || len > kMaxMessage) throw simnet::NetError("bad frame length");
+  return true;
+}
 
+bool recv_frame(simnet::Socket& sock, FrameBuffer& out) {
+  std::uint32_t len;
+  if (!recv_frame_len(sock, len)) return false;
   out.resize(len);
   if (!sock.recv_all(MutByteSpan(out.data(), out.size())))
     throw simnet::NetError("truncated frame body");

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -92,7 +93,7 @@ enum class Whence : std::uint8_t { kSet = 0, kCur = 1, kEnd = 2 };
 /// A client that asked for a feature and finds no grant treats the login
 /// as damaged in flight (SrbClient throws a retryable NetError).
 enum FeatureFlags : std::uint32_t {
-  /// Every post-connect frame carries a CRC32C trailer (see send_frame_crc).
+  /// Every post-connect frame carries a CRC32C trailer (see send_request).
   kFeatureWireChecksums = 1u << 0,
 };
 
@@ -110,27 +111,34 @@ constexpr std::uint32_t kMaxListExtents = 4096;
 /// cheaper as one contiguous fetch of the extents' hull.
 constexpr std::uint64_t kListReadBytesPerExtent = 16;
 
-/// Sends one framed message: [len][head][body...].
-void send_frame(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
-void send_frame2(simnet::Socket& sock, std::int32_t status, ByteSpan body);
-
-/// Checksummed framing (kFeatureWireChecksums sessions): the frame content
-/// gains a crc32c:u32 trailer over [head|body], and len counts it —
-/// [len][head][body...][crc32c]. The length prefix itself stays uncovered:
-/// it is what keeps the two ends in phase, and the fault model (like TCP
-/// segmentation) preserves it, so a corrupted frame is still a *complete*
-/// frame and the receiver can answer kChecksumMismatch in rhythm.
-void send_frame_crc(simnet::Socket& sock, std::uint8_t head, ByteSpan body);
-void send_frame2_crc(simnet::Socket& sock, std::int32_t status, ByteSpan body);
+/// Sends one request frame, [len][op:u8][body...], or with `crc` the
+/// checksummed form [len][op:u8][body...][crc32c] (kFeatureWireChecksums
+/// sessions), where len counts the trailer and the CRC32C covers
+/// [op|body...], chained over the pieces. The length prefix itself stays
+/// uncovered: it is what keeps the two ends in phase, and the fault model
+/// (like TCP segmentation) preserves it, so a corrupted frame is still a
+/// *complete* frame and the receiver can answer kChecksumMismatch in rhythm.
+/// The frame goes out as one Socket::send_all whose pieces are the prefix,
+/// each body piece and the trailer: a body is never concatenated first.
+void send_request(simnet::Socket& sock, std::uint8_t op,
+                  std::initializer_list<ByteSpan> body, bool crc);
+/// The reply frame, [len][status:i32][body...] (+[crc32c]), sent the same way.
+void send_reply(simnet::Socket& sock, std::int32_t status,
+                std::initializer_list<ByteSpan> body, bool crc);
 
 /// Verifies and strips the CRC32C trailer of a received frame in place.
 /// Returns false on mismatch (or a frame too short to carry the trailer);
 /// the caller decides the reaction (server: reply kChecksumMismatch and
 /// keep the session; client: throw a retryable integrity error).
-bool strip_frame_crc(Bytes& frame);
+bool strip_frame_crc(FrameBuffer& frame);
 
-/// Receives one framed message; returns false on clean EOF before a frame.
-/// Throws simnet::NetError on mid-frame EOF or oversized frames.
-bool recv_frame(simnet::Socket& sock, Bytes& out);
+/// Receives a frame's length prefix; returns false on clean EOF before a
+/// frame. Throws simnet::NetError on a truncated or out-of-range length.
+bool recv_frame_len(simnet::Socket& sock, std::uint32_t& len);
+
+/// Receives one framed message into `out` (whose growth never zero-fills);
+/// returns false on clean EOF before a frame. Throws simnet::NetError on
+/// mid-frame EOF or oversized frames.
+bool recv_frame(simnet::Socket& sock, FrameBuffer& out);
 
 }  // namespace remio::srb

@@ -1,5 +1,6 @@
 #include "srb/server.hpp"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -40,7 +41,7 @@ class SrbServer::Session {
 
   void loop() {
     try {
-      Bytes frame;
+      FrameBuffer frame;
       while (recv_frame(*sock_, frame)) {
         if (crc_ && !strip_frame_crc(frame)) {
           // Request arrived corrupted. Framing held (the length prefix is
@@ -116,14 +117,8 @@ class SrbServer::Session {
     bool admitted_ = true;
   };
 
-  void reply(Status st) { reply(st, {}); }
-
-  void reply(Status st, const Bytes& body) {
-    const ByteSpan span(body.data(), body.size());
-    if (crc_)
-      send_frame2_crc(*sock_, static_cast<std::int32_t>(st), span);
-    else
-      send_frame2(*sock_, static_cast<std::int32_t>(st), span);
+  void reply(Status st, std::initializer_list<ByteSpan> body = {}) {
+    send_reply(*sock_, static_cast<std::int32_t>(st), body, crc_);
   }
 
   bool dispatch(Op op, ByteReader& r) {
@@ -152,7 +147,7 @@ class SrbServer::Session {
         // The grant is echoed only to a client that sent flags, so a
         // checksums-off session carries no flags word in either direction.
         if (asked != 0) w.u32(granted);
-        reply(Status::kOk, body);
+        reply(Status::kOk, {body});
         // The connect exchange itself is never checksummed (the feature is
         // being negotiated in it); coverage starts with the next frame.
         crc_ = (granted & kFeatureWireChecksums) != 0;
@@ -224,7 +219,7 @@ class SrbServer::Session {
     Bytes body;
     ByteWriter w(body);
     w.i32(fd);
-    reply(Status::kOk, body);
+    reply(Status::kOk, {body});
     return true;
   }
 
@@ -256,16 +251,16 @@ class SrbServer::Session {
       return true;
     }
     const std::uint64_t at = offset >= 0 ? static_cast<std::uint64_t>(offset) : st.fp;
-    Bytes data(len);
+    // The store copies straight into the reply buffer, which the frame then
+    // carries as a piece: no body is assembled.
+    out_.resize(len);
     const std::size_t n =
-        server_.store_.pread(st.object, MutByteSpan(data.data(), data.size()), at);
-    data.resize(n);
+        server_.store_.pread(st.object, MutByteSpan(out_.data(), len), at);
     if (offset < 0) st.fp = at + n;
 
-    Bytes body;
-    ByteWriter w(body);
-    w.blob(ByteSpan(data.data(), data.size()));
-    reply(Status::kOk, body);
+    head_.clear();
+    ByteWriter(head_).u32(static_cast<std::uint32_t>(n));
+    reply(Status::kOk, {head_, ByteSpan(out_.data(), n)});
     return true;
   }
 
@@ -309,10 +304,9 @@ class SrbServer::Session {
                             static_cast<std::int64_t>(reserved));
     if (offset < 0) st.fp = at + data.size();
 
-    Bytes body;
-    ByteWriter w(body);
-    w.u32(static_cast<std::uint32_t>(data.size()));
-    reply(Status::kOk, body);
+    head_.clear();
+    ByteWriter(head_).u32(static_cast<std::uint32_t>(data.size()));
+    reply(Status::kOk, {head_});
     return true;
   }
 
@@ -356,9 +350,8 @@ class SrbServer::Session {
       reply(Status::kInvalid);
       return true;
     }
-    std::vector<Extent> extents;
     std::uint64_t sum = 0;
-    if (!parse_extent_list(r, count, extents, sum)) return true;
+    if (!parse_extent_list(r, count, extents_, sum)) return true;
     if (sum > kMaxMessage / 2) {
       reply(Status::kInvalid);
       return true;
@@ -379,26 +372,23 @@ class SrbServer::Session {
       return true;
     }
     // Response: per-extent actual lengths, then the read bytes concatenated
-    // (short extents contribute only their actual bytes).
-    Bytes lens;
-    ByteWriter lw(lens);
-    Bytes data(static_cast<std::size_t>(sum));
-    std::size_t filled = 0;
-    for (const Extent& x : extents) {
-      const std::size_t n = server_.store_.pread(
-          st.object,
-          MutByteSpan(data.data() + filled, static_cast<std::size_t>(x.len)),
-          x.offset);
-      lw.u32(static_cast<std::uint32_t>(n));
-      filled += n;
-    }
-    data.resize(filled);
-    Bytes body;
-    ByteWriter w(body);
+    // (short extents contribute only their actual bytes). The store reads
+    // every extent under one lock, so only the extent EOF cuts is short and
+    // the ones after it are empty.
+    out_.resize(static_cast<std::size_t>(sum));
+    const std::size_t n = server_.store_.preadv(
+        st.object, extents_, MutByteSpan(out_.data(), out_.size()));
+    head_.clear();
+    ByteWriter w(head_);
     w.u32(count);
-    w.raw(ByteSpan(lens.data(), lens.size()));
-    w.raw(ByteSpan(data.data(), data.size()));
-    reply(Status::kOk, body);
+    std::size_t left = n;
+    for (const Extent& x : extents_) {
+      const auto got = static_cast<std::size_t>(
+          std::min<std::uint64_t>(x.len, left));
+      w.u32(static_cast<std::uint32_t>(got));
+      left -= got;
+    }
+    reply(Status::kOk, {head_, ByteSpan(out_.data(), n)});
     return true;
   }
 
@@ -410,9 +400,8 @@ class SrbServer::Session {
       reply(Status::kInvalid);
       return true;
     }
-    std::vector<Extent> extents;
     std::uint64_t sum = 0;
-    if (!parse_extent_list(r, count, extents, sum)) return true;
+    if (!parse_extent_list(r, count, extents_, sum)) return true;
     // Zero-copy: the concatenated payload is scattered straight from the
     // request frame. A length mismatch is a fully-received-but-inconsistent
     // frame: reject without killing the session.
@@ -440,28 +429,21 @@ class SrbServer::Session {
     if (tenant_ != nullptr) {
       // The extents are offset-sorted, so the last one bounds the new EOF.
       const std::uint64_t cur = server_.store_.size(st.object);
-      const std::uint64_t end = extents.back().end();
+      const std::uint64_t end = extents_.back().end();
       reserved = end > cur ? end - cur : 0;
       if (reserved > 0 && !tenant_->try_charge_bytes(reserved)) {
         reply(Status::kQuotaExceeded);
         return true;
       }
     }
-    std::size_t consumed = 0;
-    std::uint64_t growth = 0;
-    for (const Extent& x : extents) {
-      growth += server_.store_.pwrite(
-          st.object, data.subspan(consumed, static_cast<std::size_t>(x.len)),
-          x.offset);
-      consumed += x.len;
-    }
+    const std::uint64_t growth =
+        server_.store_.pwritev(st.object, extents_, data);
     if (tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));
-    Bytes body;
-    ByteWriter w(body);
-    w.u64(sum);
-    reply(Status::kOk, body);
+    head_.clear();
+    ByteWriter(head_).u64(sum);
+    reply(Status::kOk, {head_});
     return true;
   }
 
@@ -493,7 +475,7 @@ class SrbServer::Session {
     Bytes body;
     ByteWriter w(body);
     w.i64(pos);
-    reply(Status::kOk, body);
+    reply(Status::kOk, {body});
     return true;
   }
 
@@ -510,7 +492,7 @@ class SrbServer::Session {
     w.u64(server_.store_.exists(meta->id) ? server_.store_.size(meta->id) : 0);
     w.u64(meta->id);
     w.str(meta->resource);
-    reply(Status::kOk, body);
+    reply(Status::kOk, {body});
     return true;
   }
 
@@ -550,7 +532,7 @@ class SrbServer::Session {
     ByteWriter w(body);
     w.u32(static_cast<std::uint32_t>(entries.size()));
     for (const auto& e : entries) w.str(unmap_path(e));
-    reply(Status::kOk, body);
+    reply(Status::kOk, {body});
     return true;
   }
 
@@ -575,7 +557,7 @@ class SrbServer::Session {
     Bytes body;
     ByteWriter w(body);
     w.str(*value);
-    reply(Status::kOk, body);
+    reply(Status::kOk, {body});
     return true;
   }
 
@@ -589,7 +571,7 @@ class SrbServer::Session {
     w.u64(rep.mismatched);
     w.u64(rep.quarantined);
     w.u64(rep.healed);
-    reply(Status::kOk, body);
+    reply(Status::kOk, {body});
     return true;
   }
 
@@ -608,6 +590,11 @@ class SrbServer::Session {
   TenantRegistry::Tenant* tenant_ = nullptr;
   std::string prefix_;  // "/tenants/<name>" namespace carve-out, or empty
   bool crc_ = false;    // per-frame CRC32C, negotiated at kConnect
+  // Reused across requests: a read reply's store bytes, the fixed reply
+  // head sent in front of them, and a list verb's parsed extents.
+  FrameBuffer out_;
+  Bytes head_;
+  std::vector<Extent> extents_;
 };
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 // cleanly, the server stays up, and well-behaved clients keep working.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -153,9 +155,8 @@ class ListVerbFuzzTest : public ProtocolFuzzTest {
   /// One framed request/response round trip on a raw socket.
   Status roundtrip(simnet::Socket& sock, Op op, const Bytes& body,
                    Bytes* resp_body = nullptr) {
-    send_frame(sock, static_cast<std::uint8_t>(op),
-               ByteSpan(body.data(), body.size()));
-    Bytes frame;
+    send_request(sock, static_cast<std::uint8_t>(op), {body}, /*crc=*/false);
+    FrameBuffer frame;
     EXPECT_TRUE(recv_frame(sock, frame)) << "session dropped";
     ByteReader r(ByteSpan(frame.data(), frame.size()));
     const auto st = static_cast<Status>(r.i32());
@@ -356,9 +357,9 @@ class CorruptionFuzzTest : public ProtocolFuzzTest {
     w.str("corruption-fuzz");
     w.str("");  // no tenant
     w.u32(kFeatureWireChecksums);
-    send_frame(sock, static_cast<std::uint8_t>(Op::kConnect),
-               ByteSpan(body.data(), body.size()));
-    Bytes frame;
+    send_request(sock, static_cast<std::uint8_t>(Op::kConnect), {body},
+                 /*crc=*/false);
+    FrameBuffer frame;
     if (!recv_frame(sock, frame)) return false;
     ByteReader r(ByteSpan(frame.data(), frame.size()));
     if (static_cast<Status>(r.i32()) != Status::kOk) return false;
@@ -381,9 +382,8 @@ class CorruptionFuzzTest : public ProtocolFuzzTest {
   /// returns the status.
   Status crc_roundtrip(simnet::Socket& sock, Op op, const Bytes& body,
                        Bytes* resp_body = nullptr) {
-    send_frame_crc(sock, static_cast<std::uint8_t>(op),
-                   ByteSpan(body.data(), body.size()));
-    Bytes frame;
+    send_request(sock, static_cast<std::uint8_t>(op), {body}, /*crc=*/true);
+    FrameBuffer frame;
     EXPECT_TRUE(recv_frame(sock, frame)) << "session dropped";
     EXPECT_TRUE(strip_frame_crc(frame)) << "response trailer corrupt";
     ByteReader r(ByteSpan(frame.data(), frame.size()));
@@ -450,7 +450,7 @@ TEST_F(CorruptionFuzzTest, EveryInPhaseBitFlipDetectedInRhythm) {
     mutated[byte] ^= static_cast<char>(1u << rng.below(8));
 
     sock->send_all(ByteSpan(mutated.data(), mutated.size()));
-    Bytes frame;
+    FrameBuffer frame;
     ASSERT_TRUE(recv_frame(*sock, frame)) << "session died on round " << round;
     ASSERT_TRUE(strip_frame_crc(frame));
     ByteReader r(ByteSpan(frame.data(), frame.size()));
@@ -550,7 +550,7 @@ TEST_F(CorruptionFuzzTest, MultiBitRandomMutationsNeverLandData) {
       mutated[byte] ^= static_cast<char>(1u << rng.below(8));
     }
     sock->send_all(ByteSpan(mutated.data(), mutated.size()));
-    Bytes frame;
+    FrameBuffer frame;
     ASSERT_TRUE(recv_frame(*sock, frame));
     ASSERT_TRUE(strip_frame_crc(frame));
     ByteReader r(ByteSpan(frame.data(), frame.size()));
@@ -568,6 +568,123 @@ TEST_F(CorruptionFuzzTest, MultiBitRandomMutationsNeverLandData) {
   ByteReader r(ByteSpan(resp.data(), resp.size()));
   EXPECT_EQ(r.blob(), baseline);
   expect_server_alive();
+}
+
+// ---------------------------------------------------------------------------
+// The reply-side sibling. A scripted broker answers a 4 KiB pread and a
+// 3-extent preadv with one bit of [status | blob length or lens | payload |
+// trailer] flipped, every such bit in turn. The client lands read payloads
+// straight in the caller's buffer and checks the CRC after, so every flip
+// must surface as a retryable kChecksumMismatch, counted once, and the same
+// client's next read must return the right bytes.
+// ---------------------------------------------------------------------------
+
+class ReplyCorruptionTest : public ProtocolFuzzTest {
+ protected:
+  /// The exact wire bytes of a checksummed reply with this content.
+  static Bytes crc_frame(const Bytes& content) {
+    Bytes frame;
+    ByteWriter w(frame);
+    w.u32(static_cast<std::uint32_t>(content.size() + 4));
+    w.raw(ByteSpan(content.data(), content.size()));
+    w.u32(crc32c(ByteSpan(content.data(), content.size())));
+    return frame;
+  }
+};
+
+TEST_F(ReplyCorruptionTest, EveryReplyBitFlipThrowsRetryablyAndNextReadSucceeds) {
+  Rng rng(0x4e91f11bu);
+  const Bytes data = rng.bytes(4096);
+  Bytes read_content;
+  {
+    ByteWriter w(read_content);
+    w.i32(0);
+    w.blob(ByteSpan(data.data(), data.size()));
+  }
+  const ExtentList extents = {{0, 100}, {1000, 200}, {5000, 300}};
+  const Bytes list_data = rng.bytes(600);
+  Bytes list_content;
+  {
+    ByteWriter w(list_content);
+    w.i32(0);
+    w.u32(3);
+    for (const Extent& x : extents) w.u32(static_cast<std::uint32_t>(x.len));
+    w.raw(ByteSpan(list_data.data(), list_data.size()));
+  }
+  const Bytes read_frame = crc_frame(read_content);
+  const Bytes list_frame = crc_frame(list_content);
+
+  std::atomic<std::int64_t> flip{-1};  // content bit the next read reply flips
+  auto acceptor = fabric_.listen("orion", 5601);
+  std::thread peer([&] {
+    try {
+      auto sock = acceptor->accept();
+      if (!sock) return;
+      FrameBuffer frame;
+      bool crc = false;
+      while (recv_frame(**sock, frame)) {
+        if (crc && !strip_frame_crc(frame)) return;
+        const auto op = static_cast<Op>(frame[0]);
+        if (op == Op::kConnect) {
+          Bytes body;
+          ByteWriter w(body);
+          w.str("scripted-peer");
+          w.u32(kFeatureWireChecksums);
+          send_reply(**sock, 0, {body}, /*crc=*/false);
+          crc = true;
+        } else if (op == Op::kObjRead || op == Op::kObjReadList) {
+          Bytes wire = op == Op::kObjRead ? read_frame : list_frame;
+          const std::int64_t bit = flip.load();
+          if (bit >= 0)
+            wire[4 + static_cast<std::size_t>(bit / 8)] ^=
+                static_cast<char>(1u << (bit % 8));
+          (*sock)->send_all(ByteSpan(wire.data(), wire.size()));
+        } else {
+          send_reply(**sock, 0, {}, /*crc=*/true);
+          if (op == Op::kDisconnect) return;
+        }
+      }
+    } catch (const simnet::NetError&) {
+      // The client went away mid-frame; nothing left to serve.
+    }
+  });
+
+  {
+    SrbClient c(fabric_, "evil", "orion", 5601);
+    ASSERT_TRUE(c.wire_checksums());
+    Bytes out(data.size());
+    Bytes packed(list_data.size());
+    std::uint64_t failures = 0;
+    for (const bool list : {false, true}) {
+      const Bytes& pristine = list ? list_frame : read_frame;
+      const auto bits = static_cast<std::int64_t>((pristine.size() - 4) * 8);
+      for (std::int64_t b = 0; b < bits; ++b) {
+        flip.store(b);
+        try {
+          if (list)
+            c.preadv(3, extents, MutByteSpan(packed.data(), packed.size()));
+          else
+            c.pread(3, MutByteSpan(out.data(), out.size()), 0);
+          FAIL() << (list ? "preadv" : "pread") << ": flip of bit " << b
+                 << " went undetected";
+        } catch (const SrbError& e) {
+          ASSERT_EQ(e.status(), Status::kChecksumMismatch)
+              << (list ? "preadv" : "pread") << " bit " << b << ": " << e.what();
+          ASSERT_TRUE(e.retryable());
+        }
+        ASSERT_EQ(c.crc_failures(), ++failures);
+        flip.store(-1);
+        ASSERT_EQ(c.pread(3, MutByteSpan(out.data(), out.size()), 0), data.size());
+        ASSERT_EQ(out, data) << "after the flip of bit " << b;
+      }
+    }
+    EXPECT_EQ(failures, (read_frame.size() - 4 + list_frame.size() - 4) * 8);
+    EXPECT_EQ(c.preadv(3, extents, MutByteSpan(packed.data(), packed.size())),
+              list_data.size());
+    EXPECT_EQ(packed, list_data);
+  }
+  acceptor->close();
+  peer.join();
 }
 
 TEST_F(ProtocolFuzzTest, ReadLengthAboveCapRejected) {

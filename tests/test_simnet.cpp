@@ -5,10 +5,12 @@
 
 #include <future>
 #include <numeric>
+#include <set>
 #include <thread>
 
 #include "common/rng.hpp"
 #include "simnet/fabric.hpp"
+#include "simnet/faults.hpp"
 #include "simnet/timescale.hpp"
 #include "simnet/token_bucket.hpp"
 
@@ -446,6 +448,74 @@ TEST_F(FabricTest, DataIntegrityUnderShaping) {
   client->send_all(ByteSpan(payload.data(), payload.size()));
   client->shutdown_send();
   EXPECT_EQ(reader.get(), payload);
+}
+
+// --- gather sends ----------------------------------------------------------------
+
+/// An unshaped connected pair with a 1 KiB quantum, so a few KiB span
+/// several pipe chunks.
+std::pair<std::unique_ptr<Socket>, std::unique_ptr<Socket>> small_quantum_pair() {
+  ConnShaping shaping;
+  shaping.quantum = 1024;
+  return Socket::make_pair(shaping, "client", "server");
+}
+
+TEST(GatherSend, SpanningThreeQuantaDeliversTheConcatenation) {
+  auto [tx, rx] = small_quantum_pair();
+  Rng rng(7);
+  // Piece boundaries fall inside and across quanta; one piece is empty.
+  const std::vector<Bytes> parts = {rng.bytes(5), rng.bytes(1500), Bytes{},
+                                    rng.bytes(1200), rng.bytes(300)};
+  std::vector<ByteSpan> pieces;
+  Bytes expected;
+  for (const Bytes& p : parts) {
+    pieces.emplace_back(p.data(), p.size());
+    expected.insert(expected.end(), p.begin(), p.end());
+  }
+  ASSERT_GT(expected.size(), 2u * 1024);
+  ASSERT_LE(expected.size(), 3u * 1024);
+  tx->send_all(pieces);
+  EXPECT_EQ(tx->bytes_sent(), expected.size());
+  Bytes got(expected.size());
+  ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
+  EXPECT_EQ(got, expected);
+}
+
+TEST(GatherSend, CorruptionFlipsOneDeliveredBitAndNoSenderPiece) {
+  auto fault = std::make_shared<FaultInjector>();
+  fault->set_corrupt_probability(1.0);
+  auto [tx, rx] = small_quantum_pair();
+  tx->set_fault(fault, "client", /*corrupt_only=*/true);
+  Rng rng(11);
+  const std::vector<Bytes> parts = {rng.bytes(4), rng.bytes(2000),
+                                    rng.bytes(1000)};
+  const std::vector<Bytes> originals = parts;
+  std::vector<ByteSpan> pieces;
+  Bytes sent;
+  for (const Bytes& p : parts) {
+    pieces.emplace_back(p.data(), p.size());
+    sent.insert(sent.end(), p.begin(), p.end());
+  }
+  // Each send draws its own flip position: run enough to land flips in
+  // every chunk of the three-quantum frame.
+  std::set<std::size_t> chunks_hit;
+  for (int round = 0; round < 32; ++round) {
+    tx->send_all(pieces);
+    Bytes got(sent.size());
+    ASSERT_TRUE(rx->recv_all(MutByteSpan(got.data(), got.size())));
+    int differing_bits = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const auto diff = static_cast<unsigned char>(got[i] ^ sent[i]);
+      if (diff == 0) continue;
+      EXPECT_GE(i, 4u) << "the length prefix was hit";
+      differing_bits += __builtin_popcount(diff);
+      chunks_hit.insert(i / 1024);
+    }
+    EXPECT_EQ(differing_bits, 1) << "round " << round;
+    EXPECT_EQ(parts, originals) << "a sender piece was modified";
+  }
+  EXPECT_EQ(chunks_hit.size(), 3u);
+  EXPECT_EQ(fault->corruptions(), 32u);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "simnet/faults.hpp"
@@ -390,6 +392,59 @@ TEST(ObjectStore, UnalignedWritesKeepBothBlocksFresh) {
   EXPECT_EQ(rep.mismatched, 0u);
 }
 
+TEST(ObjectStore, ListWriteRehashesSharedAndGapBlocks) {
+  // One pwritev: two extents share block 0, and the last extent lands past
+  // EOF, so [5,000, 9,000) is zero-filled across blocks 1 and 2. Every
+  // block it touched must carry a fresh sum, though each is hashed once.
+  ObjectStore store;
+  store.create(1);
+  Rng rng(21);
+  Bytes model = rng.bytes(5000);
+  store.pwrite(1, ByteSpan(model.data(), model.size()), 0);
+  const ExtentList extents = {{100, 50}, {200, 50}, {9000, 100}};
+  const Bytes data = rng.bytes(200);
+  EXPECT_EQ(store.pwritev(1, extents, ByteSpan(data.data(), data.size())),
+            9100u - 5000u);
+  model.resize(9100, '\0');
+  std::size_t consumed = 0;
+  for (const Extent& x : extents) {
+    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(consumed), x.len,
+                model.begin() + static_cast<std::ptrdiff_t>(x.offset));
+    consumed += x.len;
+  }
+  const ScrubReport rep = store.scrub();
+  EXPECT_EQ(rep.blocks, 3u);
+  EXPECT_EQ(rep.mismatched, 0u);
+  Bytes back(model.size());
+  EXPECT_EQ(store.pread(1, MutByteSpan(back.data(), back.size()), 0),
+            model.size());
+  EXPECT_EQ(back, model);
+}
+
+TEST(ObjectStore, ListReadStopsAtEofAndVerifiesEveryTouchedBlock) {
+  ObjectStore store;
+  store.create(1);
+  Rng rng(22);
+  const Bytes model = rng.bytes(10000);  // blocks 0-1 full, block 2 partial
+  store.pwrite(1, ByteSpan(model.data(), model.size()), 0);
+
+  // The extent EOF cuts is short and the one past EOF is empty: 10 + 10 B.
+  const ExtentList tail = {{10, 10}, {9990, 20}, {12000, 5}};
+  Bytes out(35);
+  EXPECT_EQ(store.preadv(1, tail, MutByteSpan(out.data(), out.size())), 20u);
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + 10, model.begin() + 10));
+  EXPECT_TRUE(std::equal(out.begin() + 10, out.begin() + 20, model.begin() + 9990));
+
+  // Rot in block 2: a list that touches it only through its last extent
+  // still fails, and one that stays in blocks 0 and 1 still reads.
+  ASSERT_TRUE(store.corrupt(1, 8200));
+  const ExtentList clean = {{0, 8}, {4100, 8}};
+  EXPECT_EQ(store.preadv(1, clean, MutByteSpan(out.data(), 16)), 16u);
+  const ExtentList touches = {{0, 8}, {4100, 8}, {8195, 10}};
+  EXPECT_THROW(store.preadv(1, touches, MutByteSpan(out.data(), 26)),
+               IntegrityError);
+}
+
 TEST(ObjectStore, TruncateAndGapWritesKeepSumsFresh) {
   ObjectStore store;
   store.create(1);
@@ -491,13 +546,13 @@ TEST_F(SrbTest, MissingChecksumGrantFailsTheDialRetryably) {
     for (int round = 0; round < 2; ++round) {
       auto sock = acceptor->accept();
       if (!sock) return;
-      Bytes request;
+      FrameBuffer request;
       if (!recv_frame(**sock, request)) return;
       Bytes body;
       ByteWriter w(body);
       w.str("remio-srb 3.2.1-sim");
       if (round == 1) w.u32(0);
-      send_frame2(**sock, 0, ByteSpan(body.data(), body.size()));
+      send_reply(**sock, 0, {body}, /*crc=*/false);
     }
   });
   for (int round = 0; round < 2; ++round) {
@@ -510,6 +565,88 @@ TEST_F(SrbTest, MissingChecksumGrantFailsTheDialRetryably) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << "round " << round << ": " << e.what();
     }
+  }
+  acceptor->close();
+  peer.join();
+}
+
+TEST_F(SrbTest, ReadRepliesThatDisagreeWithTheRequestThrowProtocolInPhase) {
+  // A peer that answers each kObjRead from a script, every reply with a
+  // valid CRC. The client lands read payloads straight in the caller's
+  // buffer: a blob longer than asked for must never be copied past it, and
+  // a reply whose lengths disagree must not read as a silent EOF. Each bad
+  // frame is drained whole, so the next read on the same session succeeds.
+  const auto blob = [](std::uint32_t len_field, std::size_t bytes, char fill) {
+    Bytes b;
+    ByteWriter(b).u32(len_field);
+    b.resize(4 + bytes, fill);
+    return b;
+  };
+  const Bytes good(16, 'g');
+  std::vector<Bytes> script;  // kOk reply bodies, one per kObjRead
+  for (int verb = 0; verb < 2; ++verb) {
+    script.push_back(blob(32, 32, 'x'));  // twice the 16 B asked for
+    script.push_back(blob(16, 16, 'g'));
+    script.push_back({});                 // no blob length at all
+    script.push_back(blob(16, 8, 'x'));   // length field past the frame's end
+    script.push_back(blob(16, 16, 'g'));
+  }
+  auto acceptor = fabric_.listen("orion", 5598);
+  std::thread peer([&] {
+    try {
+      auto sock = acceptor->accept();
+      if (!sock) return;
+      FrameBuffer frame;
+      std::size_t next = 0;
+      bool crc = false;
+      while (recv_frame(**sock, frame)) {
+        if (crc && !strip_frame_crc(frame)) return;
+        const auto op = static_cast<Op>(frame[0]);
+        if (op == Op::kConnect) {
+          Bytes body;
+          ByteWriter w(body);
+          w.str("scripted-peer");
+          w.u32(kFeatureWireChecksums);
+          send_reply(**sock, 0, {body}, /*crc=*/false);
+          crc = true;
+        } else if (op == Op::kObjRead && next < script.size()) {
+          send_reply(**sock, 0, {script[next++]}, /*crc=*/true);
+        } else {
+          send_reply(**sock, 0, {}, /*crc=*/true);
+          if (op == Op::kDisconnect) return;
+        }
+      }
+    } catch (const simnet::NetError&) {
+      // The client went away mid-frame; nothing left to serve.
+    }
+  });
+  {
+    SrbClient c(fabric_, "node0", "orion", 5598);
+    ASSERT_TRUE(c.wire_checksums());
+    Bytes out(16);  // exactly the request: an overrun is a heap overflow
+    const std::function<std::size_t()> verbs[] = {
+        [&] { return c.pread(3, MutByteSpan(out.data(), out.size()), 0); },
+        [&] { return c.read(3, MutByteSpan(out.data(), out.size())); },
+    };
+    const auto expect_protocol = [](const std::function<std::size_t()>& verb) {
+      try {
+        const std::size_t n = verb();
+        ADD_FAILURE() << "expected kProtocol, read " << n << " B";
+      } catch (const SrbError& e) {
+        EXPECT_EQ(e.status(), Status::kProtocol) << e.what();
+        EXPECT_FALSE(e.retryable()) << e.what();
+      }
+    };
+    for (const auto& verb : verbs) {
+      expect_protocol(verb);
+      EXPECT_EQ(verb(), 16u);
+      EXPECT_EQ(out, good);
+      expect_protocol(verb);
+      expect_protocol(verb);
+      EXPECT_EQ(verb(), 16u);
+      EXPECT_EQ(out, good);
+    }
+    EXPECT_EQ(c.crc_failures(), 0u);
   }
   acceptor->close();
   peer.join();
