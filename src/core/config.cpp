@@ -17,8 +17,8 @@ void validate(const Config& cfg) {
     throw std::invalid_argument("semplar::Config: io_threads out of range");
   if (cfg.tenant.find('/') != std::string::npos)
     throw std::invalid_argument("semplar::Config: tenant must not contain '/'");
-  // stripe_size: any value is legal; Config::kAutoStripe (0) selects the
-  // contiguous even split.
+  // stripe_size: any value is legal; Config::kAutoStripe (0) selects auto
+  // striping (whole below one window, an even split above).
   if (cfg.queue_capacity == 0)
     throw std::invalid_argument("semplar::Config: queue_capacity must be > 0");
   if (cfg.cache_block_bytes == 0)

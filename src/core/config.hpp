@@ -34,11 +34,14 @@ struct Config {
   /// pre-spawned threads (§7.2 uses one per stream).
   int io_threads = 0;
 
-  /// Striping unit when a single request is split across streams.
-  /// kAutoStripe divides each request contiguously and evenly across the
-  /// streams (one broker round trip per stream — how the paper's modified
-  /// perf splits its array); a byte value forces round-robin chunks of
-  /// that size (useful to exercise stripe-boundary behaviour).
+  /// Striping unit when a single async request is split across streams.
+  /// kAutoStripe sends a request smaller than one window
+  /// (min(conn.tcp_window, 64 KiB); 64 KiB when the window is 0) whole,
+  /// each such request on the next stream in turn, and divides a larger
+  /// one contiguously and evenly across the streams (one broker round trip
+  /// per stream — how the paper's modified perf splits its array). A byte
+  /// value forces round-robin chunks of that size (useful to exercise
+  /// stripe-boundary behaviour).
   static constexpr std::size_t kAutoStripe = 0;
   std::size_t stripe_size = kAutoStripe;
 

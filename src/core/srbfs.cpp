@@ -262,14 +262,25 @@ template <bool IsWrite, class Span>
 mpiio::IoRequest SemplarFile::submit_striped(std::uint64_t offset, Span data) {
   const int stream_count = streams_->count();
   const std::size_t n = data.size();
-  // Auto mode: one contiguous range per stream (a single broker round trip
-  // each). Explicit mode: round-robin stripe_size chunks.
+  // Explicit mode: round-robin stripe_size chunks. Auto mode: a request
+  // smaller than one window crosses in one round trip, where a second
+  // stream could only add an RPC, so it goes whole to the next stream in
+  // turn. The limit is capped at 64 KiB (and is 64 KiB unshaped, window
+  // 0): above it a whole request loses clearly to the split with one
+  // request in flight (DESIGN §17). A larger request is split into one
+  // contiguous range per stream (a single broker round trip each).
+  constexpr std::size_t kWholeCap = 64 * 1024;
+  const std::size_t window = cfg_.conn.tcp_window;
+  const bool auto_mode = cfg_.stripe_size == Config::kAutoStripe;
+  const bool whole =
+      auto_mode &&
+      n < (window == 0 ? kWholeCap : std::min(window, kWholeCap));
+  const int first = whole ? pick_stream() : 0;
   const std::size_t stripe =
-      cfg_.stripe_size != Config::kAutoStripe
-          ? cfg_.stripe_size
-          : std::max<std::size_t>(
-                1, (n + static_cast<std::size_t>(stream_count) - 1) /
-                       static_cast<std::size_t>(stream_count));
+      !auto_mode ? cfg_.stripe_size
+      : whole    ? std::max<std::size_t>(1, n)
+                 : (n + static_cast<std::size_t>(stream_count) - 1) /
+                       static_cast<std::size_t>(stream_count);
 
   // Streams that actually carry chunks for this request.
   int active = stream_count;
@@ -280,13 +291,15 @@ mpiio::IoRequest SemplarFile::submit_striped(std::uint64_t offset, Span data) {
     if (chunks < active) active = chunks;
   }
 
-  // Each task re-runs from scratch on replay, which is safe because every
-  // chunk is offset-addressed. With a dead stream the pool's *_once
-  // flavours transparently re-route `s` onto a survivor.
-  return submit_joined<IsWrite>(active, [&](int s) {
-    return [this, s, stream_count, stripe, offset, data] {
+  // Task k moves chunks k, k+S, k+2S, ... on stream first+k. Each task
+  // re-runs from scratch on replay, which is safe because every chunk is
+  // offset-addressed. With a dead stream the pool's *_once flavours
+  // transparently re-route the task onto a survivor.
+  return submit_joined<IsWrite>(active, [&](int k) {
+    const int s = (first + k) % stream_count;
+    return [this, k, s, stream_count, stripe, offset, data] {
       std::size_t moved = 0;
-      for (std::size_t start = static_cast<std::size_t>(s) * stripe;
+      for (std::size_t start = static_cast<std::size_t>(k) * stripe;
            start < data.size();
            start += static_cast<std::size_t>(stream_count) * stripe) {
         const std::size_t len = std::min(stripe, data.size() - start);

@@ -1,8 +1,10 @@
 // SEMPLAR: the SRBFS ADIO driver (§3.2) with the asynchronous extension
 // (§4). Synchronous read_at/write_at use a single blocking stream, exactly
 // like the original SEMPLAR; the asynchronous verbs route through the
-// multi-threaded engine and stripe each request across the file's TCP
-// streams, so transfers on both connections advance simultaneously (§7.2).
+// multi-threaded engine and spread requests over the file's TCP streams, so
+// transfers on both connections advance simultaneously (§7.2): a request of
+// at least one window is striped across the streams, a smaller one goes
+// whole to the next stream in turn.
 //
 // With cfg.cache_bytes > 0 every verb additionally routes through the
 // client-side block cache (src/cache): re-reads are served locally,
@@ -84,6 +86,8 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   std::uint64_t cache_stat_size() override;
   bool cache_run_async(std::function<void()> fn) override;
 
+  /// The file's stream round-robin: the cache's wire transfers and the
+  /// whole (below-one-window) async requests each take the next stream.
   int pick_stream();
 
   /// Coherence check (open, size()): re-reads the object's generation
@@ -112,10 +116,14 @@ class SemplarFile final : public mpiio::adio::FileHandle,
   template <bool IsWrite, class TaskFor>
   mpiio::IoRequest submit_joined(int active, TaskFor task_for);
 
-  /// Plans a striped transfer: stream s handles chunks s, s+S, s+2S, ...
-  /// of `stripe_size` each, and the whole per-stream series runs as one
-  /// FIFO task so chunks on a stream stay ordered while streams proceed
-  /// in parallel.
+  /// Plans a striped transfer. Explicit stripe_size: stream s handles
+  /// chunks s, s+S, s+2S, ... of `stripe_size` each, and the whole
+  /// per-stream series runs as one FIFO task so chunks on a stream stay
+  /// ordered while streams proceed in parallel. Auto (Config::kAutoStripe):
+  /// a request smaller than min(conn.tcp_window, 64 KiB) (64 KiB when the
+  /// window is 0) fits one window, so it runs whole as one task on the
+  /// stream pick_stream() returns next; a larger one is split into S even
+  /// contiguous ranges, one task per stream.
   template <bool IsWrite, class Span>
   mpiio::IoRequest submit_striped(std::uint64_t offset, Span data);
 

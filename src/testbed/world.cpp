@@ -89,8 +89,9 @@ semplar::Config Testbed::semplar_config(int rank, int streams_per_node,
   cfg.server_port = server_spec_.port;
   cfg.streams_per_node = streams_per_node;
   cfg.io_threads = io_threads;
-  // Auto striping: contiguous even split across streams, one broker round
-  // trip per stream (how the paper's §7.2 code splits its data).
+  // Auto striping: a request of at least one window (the paper's §7.2
+  // arrays) is split contiguously and evenly, one broker round trip per
+  // stream; a smaller one goes whole to the next stream in turn.
   cfg.stripe_size = semplar::Config::kAutoStripe;
   cfg.conn.tcp_window = cluster_.tcp_window;
   if (charge_bus) cfg.conn.extra.push_back(nodes_[static_cast<std::size_t>(rank)].bus);

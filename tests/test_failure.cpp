@@ -339,6 +339,35 @@ TEST_F(SupervisedFailureTest, DeadStreamDegradesOntoSurvivor) {
   f.close();
 }
 
+TEST_F(SupervisedFailureTest, DeadStreamTakesNoRotatedSmallRequest) {
+  // Auto striping sends each 4 KiB request whole to the next stream in
+  // turn, so half of them are routed to stream 1 after it died. Each one
+  // must land on stream 0 instead: every request completes, bytes intact.
+  semplar::SrbfsDriver driver(fabric_, retry_config(2));
+  mpiio::File f(driver, "/s/rotate", kRwc);
+  faults_->ban("/s1");
+  faults_->arm_kill("/s1");
+  constexpr std::size_t kLen = 4 * 1024;
+  Rng rng(19);
+  const Bytes data = rng.bytes(16 * kLen);
+  for (std::size_t i = 0; i < 16; ++i) {
+    mpiio::IoRequest r =
+        f.iwrite_at(i * kLen, ByteSpan(data.data() + i * kLen, kLen));
+    EXPECT_EQ(r.wait(), kLen) << "write " << i;
+  }
+  Bytes back(data.size());
+  for (std::size_t i = 0; i < 16; ++i) {
+    mpiio::IoRequest r =
+        f.iread_at(i * kLen, MutByteSpan(back.data() + i * kLen, kLen));
+    EXPECT_EQ(r.wait(), kLen) << "read " << i;
+  }
+  EXPECT_EQ(back, data);
+  auto* sf = dynamic_cast<semplar::SemplarFile*>(&f.handle());
+  ASSERT_NE(sf, nullptr);
+  EXPECT_EQ(sf->streams().alive_count(), 1);
+  f.close();
+}
+
 TEST_F(SupervisedFailureTest, ReplayedRunMatchesFaultFreeRunByteForByte) {
   // Idempotence property: the same randomized workload produces the
   // intended object with and without a 1.5% per-send drop probability,

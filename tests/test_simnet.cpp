@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/rng.hpp"
+#include "fabric_test.hpp"
 #include "simnet/fabric.hpp"
 #include "simnet/faults.hpp"
 #include "simnet/timescale.hpp"
@@ -149,24 +150,6 @@ TEST(TokenBucket, TryAcquirePartial) {
 
 // --- fabric + sockets ----------------------------------------------------------
 
-class FabricTest : public ::testing::Test {
- protected:
-  FabricTest() : scale_(kScale) {
-    HostSpec client;
-    client.name = "client";
-    client.latency_to_core = 0.05;  // 100 ms one-way client<->server
-    fabric_.add_host(client);
-
-    HostSpec server;
-    server.name = "server";
-    server.latency_to_core = 0.05;
-    fabric_.add_host(server);
-  }
-
-  ScopedTimeScale scale_;
-  Fabric fabric_;
-};
-
 TEST_F(FabricTest, ConnectRefusedWithoutListener) {
   EXPECT_THROW(fabric_.connect("client", "server", 9), NetError);
 }
@@ -257,59 +240,6 @@ TEST_F(FabricTest, WindowCapLimitsThroughput) {
   const double dt = sim_now() - t0;
   EXPECT_GT(dt, 1.8);
   EXPECT_LT(dt, 9.0);
-}
-
-TEST_F(FabricTest, TwoStreamsDoubleWindowLimitedThroughput) {
-  auto acceptor = fabric_.listen("server", 9);
-  ConnectOptions opts;
-  opts.tcp_window = 64 * 1024;
-
-  auto run_transfer = [&](int n_streams) {
-    std::vector<std::unique_ptr<Socket>> clients;
-    std::vector<std::unique_ptr<Socket>> servers;
-    for (int i = 0; i < n_streams; ++i) {
-      clients.push_back(fabric_.connect("client", "server", 9, opts));
-      auto s = acceptor->accept();
-      servers.push_back(std::move(*s));
-    }
-    const std::size_t per_stream = (1u << 20) / static_cast<unsigned>(n_streams);
-    std::vector<std::future<void>> senders;
-    std::vector<std::future<std::size_t>> readers;
-    const double t0 = sim_now();
-    for (int i = 0; i < n_streams; ++i) {
-      senders.push_back(std::async(std::launch::async, [&, i] {
-        Bytes payload(per_stream);
-        clients[static_cast<std::size_t>(i)]->send_all(
-            ByteSpan(payload.data(), payload.size()));
-        clients[static_cast<std::size_t>(i)]->shutdown_send();
-      }));
-      readers.push_back(std::async(std::launch::async, [&, i] {
-        Bytes sink(per_stream);
-        std::size_t total = 0;
-        while (total < per_stream) {
-          const std::size_t n = servers[static_cast<std::size_t>(i)]->recv_some(
-              MutByteSpan(sink.data(), per_stream - total));
-          if (n == 0) break;
-          total += n;
-        }
-        return total;
-      }));
-    }
-    for (auto& s : senders) s.get();
-    std::size_t total = 0;
-    for (auto& r : readers) total += r.get();
-    EXPECT_EQ(total, 1u << 20);
-    return sim_now() - t0;
-  };
-
-  // Finer scale for this comparison: transfers last ~30 ms of wall time,
-  // well above scheduler jitter.
-  ScopedTimeScale fine_scale(100.0);
-  const double one = run_transfer(1);
-  const double two = run_transfer(2);
-  // Same total bytes over twice the aggregate cap: ~2x faster.
-  EXPECT_LT(two, one * 0.78);
-  acceptor->close();
 }
 
 TEST_F(FabricTest, SharedPathResourceThrottlesBothStreams) {

@@ -3,9 +3,13 @@
 // or double open — the bytes that land in the remote object are identical
 // to a reference single-stream synchronous write, and reads recover them
 // exactly. Verified by content hash against the broker's stored object.
+// A second group pins what auto striping costs on the wire: RPCs per
+// request, per stream, on either side of the one-window limit.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/semplar.hpp"
@@ -30,19 +34,26 @@ std::string case_name(const ::testing::TestParamInfo<StripingCase>& info) {
          "_n" + std::to_string(c.size);
 }
 
-class StripingProperty : public ::testing::TestWithParam<StripingCase> {
- protected:
-  StripingProperty() : scale_(5000.0) {
+/// One client node and a broker on an unshaped fabric.
+struct World {
+  World() : scale(5000.0) {
     simnet::HostSpec server_host;
     server_host.name = "orion";
-    fabric_.add_host(server_host);
+    fabric.add_host(server_host);
     simnet::HostSpec node;
     node.name = "node0";
-    fabric_.add_host(node);
-    server_ = std::make_unique<srb::SrbServer>(fabric_, srb::ServerConfig{});
-    server_->start();
+    fabric.add_host(node);
+    server = std::make_unique<srb::SrbServer>(fabric, srb::ServerConfig{});
+    server->start();
   }
 
+  simnet::ScopedTimeScale scale;
+  simnet::Fabric fabric;
+  std::unique_ptr<srb::SrbServer> server;
+};
+
+class StripingProperty : public ::testing::TestWithParam<StripingCase> {
+ protected:
   std::uint64_t object_hash(const std::string& path) {
     srb::SrbClient client(fabric_, "node0", "orion", 5544);
     const auto st = client.stat(path);
@@ -54,9 +65,8 @@ class StripingProperty : public ::testing::TestWithParam<StripingCase> {
     return fnv1a(ByteSpan(raw.data(), raw.size()));
   }
 
-  simnet::ScopedTimeScale scale_;
-  simnet::Fabric fabric_;
-  std::unique_ptr<srb::SrbServer> server_;
+  World world_;
+  simnet::Fabric& fabric_ = world_.fabric;
 };
 
 TEST_P(StripingProperty, AnyDecompositionSameObject) {
@@ -115,22 +125,112 @@ INSTANTIATE_TEST_SUITE_P(
         StripingCase{2, 2, 0, false, 128 * 1024},
         StripingCase{1, 1, 8 * 1024, true, 64 * 1024},
         StripingCase{4, 2, 0, true, 3},
-        StripingCase{2, 2, 0, true, 0}),
+        StripingCase{2, 2, 0, true, 0},
+        // Either side of auto striping's one-window limit T (64 KiB on this
+        // unshaped fabric): T - 1 goes whole to one stream, T splits.
+        StripingCase{2, 2, 0, true, 64 * 1024 - 1},
+        StripingCase{2, 2, 0, true, 64 * 1024},
+        StripingCase{3, 3, 0, true, 64 * 1024 - 1},
+        StripingCase{3, 3, 0, true, 64 * 1024},
+        StripingCase{4, 4, 0, true, 64 * 1024 - 1},
+        StripingCase{4, 4, 0, true, 64 * 1024}),
     case_name);
+
+// --- what auto striping costs on the wire ----------------------------------
+
+class AutoStripingRpcs : public ::testing::Test {
+ protected:
+  /// A two-stream auto-striped file on the unshaped fabric.
+  std::unique_ptr<SemplarFile> open_file(std::size_t tcp_window = 0) {
+    Config cfg;
+    cfg.client_host = "node0";
+    cfg.conn.tcp_window = tcp_window;
+    cfg.streams_per_node = 2;
+    cfg.io_threads = 2;
+    return std::make_unique<SemplarFile>(
+        world_.fabric, cfg, "/rpcs/obj",
+        mpiio::kModeRead | mpiio::kModeWrite | mpiio::kModeCreate |
+            mpiio::kModeTrunc);
+  }
+
+  /// RPCs each stream of `f` has sent so far.
+  static std::vector<std::uint64_t> rpcs(SemplarFile& f) {
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < f.streams().count(); ++i)
+      out.push_back(f.streams().client(i).rpc_count());
+    return out;
+  }
+
+  /// Per-stream RPCs one iwrite_at and one iread_at of `n` bytes cost.
+  static std::vector<std::uint64_t> rpcs_per_request(SemplarFile& f,
+                                                     std::size_t n) {
+    Rng rng(n);
+    const Bytes data = rng.bytes(n);
+    const auto before = rpcs(f);
+    EXPECT_EQ(f.iwrite_at(0, ByteSpan(data.data(), data.size())).wait(), n);
+    Bytes back(n);
+    EXPECT_EQ(f.iread_at(0, MutByteSpan(back.data(), back.size())).wait(), n);
+    EXPECT_EQ(back, data);
+    const auto after = rpcs(f);
+    std::vector<std::uint64_t> delta;
+    for (std::size_t i = 0; i < after.size(); ++i)
+      delta.push_back(after[i] - before[i]);
+    return delta;
+  }
+
+  World world_;
+};
+
+TEST_F(AutoStripingRpcs, SmallRequestsRotateOneRpcEach) {
+  // A 4 KiB request fits one window: it goes whole, as one RPC, to the
+  // next stream in turn, so eight requests cost eight RPCs, four a stream.
+  auto f = open_file();
+  constexpr std::size_t kLen = 4 * 1024;
+  Rng rng(4);
+  const Bytes data = rng.bytes(8 * kLen);
+  for (const bool write : {true, false}) {
+    Bytes back(data.size());
+    const auto before = rpcs(*f);
+    const std::uint64_t ops0 = f->stats().snapshot().wire_ops;
+    for (std::size_t i = 0; i < 8; ++i) {
+      const std::uint64_t off = i * kLen;
+      mpiio::IoRequest r =
+          write ? f->iwrite_at(off, ByteSpan(data.data() + off, kLen))
+                : f->iread_at(off, MutByteSpan(back.data() + off, kLen));
+      ASSERT_EQ(r.wait(), kLen);
+    }
+    const auto after = rpcs(*f);
+    EXPECT_EQ(after[0] - before[0], 4u) << (write ? "writes" : "reads");
+    EXPECT_EQ(after[1] - before[1], 4u) << (write ? "writes" : "reads");
+    EXPECT_EQ(f->stats().snapshot().wire_ops - ops0, 8u);
+    if (!write) {
+      EXPECT_EQ(back, data);
+    }
+  }
+}
+
+TEST_F(AutoStripingRpcs, WindowSizedRequestSplitsOneRpcPerStream) {
+  auto f = open_file();
+  EXPECT_EQ(rpcs_per_request(*f, 64 * 1024),
+            (std::vector<std::uint64_t>{2, 2}));
+}
+
+TEST_F(AutoStripingRpcs, TcpWindowSetsTheLimit) {
+  // A 24 KiB window (TG/OSC) lowers the limit below 64 KiB: 32 KiB spans
+  // more than one window and splits; 16 KiB fits one and goes whole, the
+  // write to one stream and the read to the next.
+  auto f = open_file(24 * 1024);
+  const auto split = rpcs_per_request(*f, 32 * 1024);
+  EXPECT_EQ(split, (std::vector<std::uint64_t>{2, 2}));
+  EXPECT_EQ(rpcs_per_request(*f, 16 * 1024),
+            (std::vector<std::uint64_t>{1, 1}));
+}
 
 // Double-open decomposition (the paper's §7.2 trick) writes the same
 // object content as one handle with two streams.
 TEST(StripingDoubleOpen, MatchesLibraryStriping) {
-  simnet::ScopedTimeScale scale(5000.0);
-  simnet::Fabric fabric;
-  simnet::HostSpec server_host;
-  server_host.name = "orion";
-  fabric.add_host(server_host);
-  simnet::HostSpec node;
-  node.name = "node0";
-  fabric.add_host(node);
-  srb::SrbServer server(fabric, srb::ServerConfig{});
-  server.start();
+  World world;
+  simnet::Fabric& fabric = world.fabric;
 
   Rng rng(77);
   const Bytes data = rng.bytes(400 * 1024);
