@@ -62,25 +62,49 @@ std::uint32_t crc_sw(const unsigned char* p, std::size_t n, std::uint32_t crc) {
   return ~crc;
 }
 
-#if defined(REMIO_CRC32C_X86)
-// Three-lane kernel (Mark Adler's crc32c.c method). `crc32` has a 3-cycle
-// latency but a throughput of one per cycle, so one dependent chain runs at
-// a third of the instruction's throughput. Hashing three adjacent segments in
-// independent chains keeps the unit busy; the lanes are then folded with
-// crc(A||B) = shift(crc(A), |B|) ^ crc0(B), where crc0 starts from a zero
-// register and shift() multiplies the register by x^(8|B|) mod P.
-
-constexpr std::size_t kLongSeg = 8192;  // while >= 3 * 8 KiB remain
-constexpr std::size_t kShortSeg = 256;  // then while >= 768 B remain
+// Shifting a CRC: crc(A||B) = shift(crc(A), |B|) ^ crc(B), where shift()
+// multiplies by x^(8|B|) mod P. The pre- and post-conditioning cancel, so
+// the identity holds for the finished CRC values as well as for raw
+// registers. The three-lane kernel and crc32c_combine both rest on it.
 
 /// a * b mod P over GF(2), both in the reflected (bit 31 = x^0) order.
+/// Stops once no lower bit of a is left (zlib's multmodp).
 constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
   std::uint32_t p = 0;
   for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
-    if (a & m) p ^= b;
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
     b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
   }
   return p;
+}
+
+/// x^(8 * 2^k) mod P for k = 0..63: one factor per bit of a byte count.
+struct PowerTable {
+  std::uint32_t x8n[64];
+};
+
+constexpr PowerTable make_powers() {
+  PowerTable pt{};
+  std::uint32_t sq = 1u << 23;  // x^8
+  for (int k = 0; k < 64; ++k) {
+    pt.x8n[k] = sq;
+    sq = multmodp(sq, sq);
+  }
+  return pt;
+}
+
+constexpr PowerTable kPowers = make_powers();
+
+/// x^(8 * bytes) mod P. The running product goes first: multmodp stops
+/// after one step while it is still x^0.
+constexpr std::uint32_t x8nmodp(std::uint64_t bytes) {
+  std::uint32_t xn = 1u << 31;  // x^0
+  for (int k = 0; bytes != 0; bytes >>= 1, ++k)
+    if (bytes & 1u) xn = multmodp(xn, kPowers.x8n[k]);
+  return xn;
 }
 
 /// Byte-wise tables for multiplying a CRC register by x^(8 * bytes) mod P,
@@ -90,25 +114,33 @@ struct ShiftTable {
 };
 
 constexpr ShiftTable make_shift(std::size_t bytes) {
-  std::uint32_t xn = 1u << 31;  // x^0
-  std::uint32_t sq = 1u << 23;  // x^8, squared once per bit of `bytes`
-  for (std::size_t n = bytes; n != 0; n >>= 1) {
-    if (n & 1u) xn = multmodp(sq, xn);
-    sq = multmodp(sq, sq);
-  }
+  const std::uint32_t xn = x8nmodp(bytes);
   ShiftTable st{};
   for (std::uint32_t i = 0; i < 256; ++i)
     for (int k = 0; k < 4; ++k) st.t[k][i] = multmodp(xn, i << (8 * k));
   return st;
 }
 
-constexpr ShiftTable kShiftLong = make_shift(kLongSeg);
-constexpr ShiftTable kShiftShort = make_shift(kShortSeg);
-
 inline std::uint64_t shift(const ShiftTable& st, std::uint64_t crc) {
   return st.t[0][crc & 0xFF] ^ st.t[1][(crc >> 8) & 0xFF] ^
          st.t[2][(crc >> 16) & 0xFF] ^ st.t[3][(crc >> 24) & 0xFF];
 }
+
+constexpr ShiftTable kShift4K = make_shift(4096);
+
+#if defined(REMIO_CRC32C_X86)
+// Three-lane kernel (Mark Adler's crc32c.c method). `crc32` has a 3-cycle
+// latency but a throughput of one per cycle, so one dependent chain runs at
+// a third of the instruction's throughput. Hashing three adjacent segments in
+// independent chains keeps the unit busy; the lanes are then folded with
+// crc(A||B) = shift(crc(A), |B|) ^ crc0(B), where crc0 starts from a zero
+// register.
+
+constexpr std::size_t kLongSeg = 8192;  // while >= 3 * 8 KiB remain
+constexpr std::size_t kShortSeg = 256;  // then while >= 768 B remain
+
+constexpr ShiftTable kShiftLong = make_shift(kLongSeg);
+constexpr ShiftTable kShiftShort = make_shift(kShortSeg);
 
 inline std::uint64_t load64(const unsigned char* p) {
   std::uint64_t w;
@@ -202,6 +234,15 @@ const bool kHw = detect_hw();
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) {
   return kImpl(reinterpret_cast<const unsigned char*>(data.data()), data.size(),
                seed);
+}
+
+std::uint32_t crc32c_combine(std::uint32_t a, std::uint32_t b,
+                             std::uint64_t len_b) {
+  return multmodp(x8nmodp(len_b), a) ^ b;
+}
+
+std::uint32_t crc32c_combine_4k(std::uint32_t a, std::uint32_t b) {
+  return static_cast<std::uint32_t>(shift(kShift4K, a)) ^ b;
 }
 
 void Crc32c::update(ByteSpan data) { crc_ = crc32c(data, crc_); }

@@ -19,6 +19,10 @@
 //
 // The CRC is the standard reflected variant (init 0xFFFFFFFF, final XOR),
 // matching iSCSI / ext4 / RFC 3720: crc32c("123456789") == 0xE3069283.
+//
+// crc32c_combine joins two CRCs into the CRC of the concatenation without
+// the bytes, so a sum computed once (an at-rest block's, a write piece's)
+// can stand in for rehashing those bytes inside a longer CRC.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +34,17 @@ namespace remio {
 /// One-shot CRC32C of `data`. `seed` chains calls: passing a previous
 /// result continues the CRC as if the buffers were concatenated.
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
+
+/// CRC32C of A‖B from a = crc32c(A), b = crc32c(B) and len_b = |B|, without
+/// touching the bytes (zlib's crc32_combine): a is multiplied by
+/// x^(8·len_b) mod P, one product per set bit of len_b, and b is added.
+/// The cost follows the set bits of len_b, not its size.
+std::uint32_t crc32c_combine(std::uint32_t a, std::uint32_t b,
+                             std::uint64_t len_b);
+
+/// crc32c_combine(a, b, 4096) as one step through a compile-time table:
+/// folds one 4 KiB block's CRC onto a running one in a few nanoseconds.
+std::uint32_t crc32c_combine_4k(std::uint32_t a, std::uint32_t b);
 
 /// Incremental CRC32C over a sequence of spans (used to checksum a frame
 /// head + body without concatenating them).

@@ -356,8 +356,12 @@ std::size_t SemplarFile::transfer_extents(int stream, const ExtentList& extents,
 
   if constexpr (!IsWrite) {
     if (hull_read) {
+      // The hull lands in a buffer each thread keeps for its next hull read,
+      // so a read allocates nothing of its own size; the scatter below
+      // copies it out before this thread can start another.
+      thread_local FrameBuffer fetched;
       const Extent h = hull(extents);
-      Bytes fetched(static_cast<std::size_t>(h.len));
+      fetched.resize(static_cast<std::size_t>(h.len));
       const MutByteSpan in(fetched.data(), fetched.size());
       const std::size_t got = once ? streams_->pread_once(stream, in, h.offset)
                                    : streams_->pread(stream, in, h.offset);

@@ -43,34 +43,91 @@ std::shared_ptr<ObjectStore::Object> ObjectStore::find(ObjectId id) const {
 
 namespace {
 
-/// Hands visit(block, crc) the CRC of every kChecksumBlock block that
-/// overlaps [begin, end) of `data`, from block `next` on, in order, until
-/// visit returns false. `next` ends one past the last block visited.
+constexpr std::uint64_t kBlock = ObjectStore::kChecksumBlock;
+static_assert(kBlock == 4096, "crc32c_combine_4k folds exactly one block");
+
+/// The one block walker. Hands visit(b, lo, hi) every kChecksumBlock block
+/// [lo, hi) of an object of `size` bytes (the last block may be short) that
+/// overlaps [begin, end), from block `next` on, in order, until visit
+/// returns false. `next` ends one past the last block visited, so a sorted
+/// run of ranges visits each block once.
 template <class Visit>
-void walk_blocks(const Bytes& data, std::uint64_t begin, std::uint64_t end,
+void walk_blocks(std::uint64_t size, std::uint64_t begin, std::uint64_t end,
                  std::uint64_t& next, Visit visit) {
-  const std::uint64_t bs = ObjectStore::kChecksumBlock;
-  end = std::min<std::uint64_t>(end, data.size());
+  end = std::min(end, size);
   if (begin >= end) return;
-  for (std::uint64_t b = std::max(begin / bs, next); b * bs < end; ++b) {
-    const std::uint64_t lo = b * bs;
-    const std::uint64_t hi = std::min<std::uint64_t>(lo + bs, data.size());
+  for (std::uint64_t b = std::max(begin / kBlock, next); b * kBlock < end;
+       ++b) {
+    const std::uint64_t lo = b * kBlock;
     next = b + 1;
-    if (!visit(b, crc32c(ByteSpan(data.data() + lo,
-                                  static_cast<std::size_t>(hi - lo)))))
-      return;
+    if (!visit(b, lo, std::min(lo + kBlock, size))) return;
   }
+}
+
+std::uint32_t block_crc(const Bytes& data, std::uint64_t lo,
+                        std::uint64_t hi) {
+  return crc32c(
+      ByteSpan(data.data() + lo, static_cast<std::size_t>(hi - lo)));
+}
+
+/// Folds `bytes`, which sit at object offset `at`, onto the running CRC
+/// `crc`, cut at block boundaries: a piece that is a whole block is folded
+/// in by one table step from whole(b, piece), a partial edge piece is
+/// hashed onto the running CRC. The result is crc32c(bytes, crc) whenever
+/// whole() returns each whole piece's CRC.
+template <class Whole>
+std::uint32_t fold_blocks(ByteSpan bytes, std::uint64_t at, std::uint32_t crc,
+                          Whole whole) {
+  const std::uint64_t end = at + bytes.size();
+  std::uint64_t next = 0;
+  walk_blocks(end, at, end, next,
+              [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi) {
+                const std::uint64_t from = std::max(lo, at);
+                const ByteSpan piece =
+                    bytes.subspan(static_cast<std::size_t>(from - at),
+                                  static_cast<std::size_t>(hi - from));
+                crc = piece.size() == kBlock
+                          ? crc32c_combine_4k(crc, whole(b, piece))
+                          : crc32c(piece, crc);
+                return true;
+              });
+  return crc;
+}
+
+/// Blocks that [offset, end) covers whole.
+std::uint64_t whole_blocks(const Extent& x) {
+  const std::uint64_t first = (x.offset + kBlock - 1) / kBlock;
+  const std::uint64_t last = x.end() / kBlock;
+  return last > first ? last - first : 0;
 }
 
 }  // namespace
 
+std::uint32_t ObjectStore::hash_blocks(ByteSpan bytes, std::uint64_t at,
+                                       std::uint32_t crc,
+                                       std::vector<std::uint32_t>& whole) {
+  return fold_blocks(bytes, at, crc, [&](std::uint64_t, ByteSpan piece) {
+    whole.push_back(crc32c(piece));
+    return whole.back();
+  });
+}
+
 void ObjectStore::rehash_range(Object& obj, std::uint64_t begin,
-                               std::uint64_t end, std::uint64_t& next) const {
-  const std::uint64_t bs = kChecksumBlock;
-  obj.sums.resize(static_cast<std::size_t>((obj.data.size() + bs - 1) / bs));
-  walk_blocks(obj.data, begin, end, next,
-              [&](std::uint64_t b, std::uint32_t crc) {
-                obj.sums[static_cast<std::size_t>(b)] = crc;
+                               std::uint64_t end, std::uint64_t& next,
+                               const Extent& landed,
+                               std::span<const std::uint32_t>* given) const {
+  obj.sums.resize(
+      static_cast<std::size_t>((obj.data.size() + kBlock - 1) / kBlock));
+  walk_blocks(obj.data.size(), begin, end, next,
+              [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi) {
+                std::uint32_t& sum = obj.sums[static_cast<std::size_t>(b)];
+                if (given != nullptr && !given->empty() &&
+                    lo >= landed.offset && lo + kBlock <= landed.end()) {
+                  sum = given->front();
+                  *given = given->subspan(1);
+                } else {
+                  sum = block_crc(obj.data, lo, hi);
+                }
                 return true;
               });
 }
@@ -79,9 +136,11 @@ std::int64_t ObjectStore::verify_range(const Object& obj, std::uint64_t begin,
                                        std::uint64_t end,
                                        std::uint64_t& next) const {
   std::int64_t bad = -1;
-  walk_blocks(obj.data, begin, end, next,
-              [&](std::uint64_t b, std::uint32_t crc) {
-                if (crc == obj.sums[static_cast<std::size_t>(b)]) return true;
+  walk_blocks(obj.data.size(), begin, end, next,
+              [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi) {
+                if (block_crc(obj.data, lo, hi) ==
+                    obj.sums[static_cast<std::size_t>(b)])
+                  return true;
                 bad = static_cast<std::int64_t>(b);
                 return false;
               });
@@ -89,15 +148,16 @@ std::int64_t ObjectStore::verify_range(const Object& obj, std::uint64_t begin,
 }
 
 std::size_t ObjectStore::pread(ObjectId id, MutByteSpan out,
-                               std::uint64_t offset) {
+                               std::uint64_t offset, std::uint32_t* crc) {
   const Extent x{offset, out.size()};
-  return preadv(id, std::span<const Extent>(&x, 1), out);
+  return preadv(id, std::span<const Extent>(&x, 1), out, crc);
 }
 
 std::size_t ObjectStore::preadv(ObjectId id, std::span<const Extent> extents,
-                                MutByteSpan out) {
+                                MutByteSpan out, std::uint32_t* crc) {
   auto obj = find(id);
   std::size_t total = 0;
+  std::uint32_t sum = 0;
   {
     std::lock_guard lk(obj->mu);
     if (obj->quarantined)
@@ -117,23 +177,41 @@ std::size_t ObjectStore::preadv(ObjectId id, std::span<const Extent> extents,
             "at-rest checksum mismatch in object " + std::to_string(id) +
                 " block " + std::to_string(bad),
             /*quarantined=*/false);
-      std::copy_n(obj->data.data() + x.offset, n, out.data() + total);
+      const ByteSpan bytes(obj->data.data() + x.offset, n);
+      std::copy_n(bytes.data(), n, out.data() + total);
+      // Every block this extent touches just verified against its sum, so
+      // a whole block's sum is the CRC of its bytes: fold it in, and hash
+      // only the partial edges.
+      if (crc != nullptr)
+        sum = fold_blocks(bytes, x.offset, sum,
+                          [&](std::uint64_t b, ByteSpan) {
+                            return obj->sums[static_cast<std::size_t>(b)];
+                          });
       total += n;
       if (n < x.len) break;
     }
   }
+  if (crc != nullptr) *crc = sum;
   disk_read_.acquire(total);  // charge outside the object lock
   return total;
 }
 
 std::uint64_t ObjectStore::pwrite(ObjectId id, ByteSpan data,
-                                  std::uint64_t offset) {
+                                  std::uint64_t offset,
+                                  std::span<const std::uint32_t> whole) {
   const Extent x{offset, data.size()};
-  return pwritev(id, std::span<const Extent>(&x, 1), data);
+  return pwritev(id, std::span<const Extent>(&x, 1), data, whole);
 }
 
 std::uint64_t ObjectStore::pwritev(ObjectId id, std::span<const Extent> extents,
-                                   ByteSpan data) {
+                                   ByteSpan data,
+                                   std::span<const std::uint32_t> whole) {
+  if (!whole.empty()) {
+    std::uint64_t expected = 0;
+    for (const Extent& x : extents) expected += whole_blocks(x);
+    if (whole.size() != expected)
+      throw std::invalid_argument("pwritev: one sum per whole block expected");
+  }
   auto obj = find(id);
   std::uint64_t growth = 0;
   {
@@ -150,15 +228,17 @@ std::uint64_t ObjectStore::pwritev(ObjectId id, std::span<const Extent> extents,
       std::copy_n(data.data() + consumed, x.len, obj->data.data() + x.offset);
       consumed += x.len;
     }
-    // Hash after every extent landed: two extents may share a block. The
+    // Sums after every extent landed: two extents may share a block. The
     // zero-extension gap in front of an extent, [old size, offset), gets
     // fresh bytes too, so its blocks need new sums along with the extent.
+    // A block an extent covers whole keeps the sum the caller took of the
+    // bytes it sent, so a byte this copy damages fails the next read.
     std::uint64_t next = 0;
     std::uint64_t prev_end = 0;
     for (const Extent& x : extents) {
       const std::uint64_t touch =
           std::min(x.offset, std::max(old_size, prev_end));
-      rehash_range(*obj, touch, x.end(), next);
+      rehash_range(*obj, touch, x.end(), next, x, &whole);
       prev_end = x.end();
     }
   }
@@ -222,13 +302,13 @@ ScrubReport ObjectStore::scrub() {
   for (const auto& obj : snapshot) {
     std::lock_guard lk(obj->mu);
     ++rep.objects;
-    const std::uint64_t bs = kChecksumBlock;
-    rep.blocks += (obj->data.size() + bs - 1) / bs;
+    rep.blocks += (obj->data.size() + kBlock - 1) / kBlock;
     std::uint64_t mismatched = 0;
     std::uint64_t next = 0;
-    walk_blocks(obj->data, 0, obj->data.size(), next,
-                [&](std::uint64_t b, std::uint32_t crc) {
-                  if (crc != obj->sums[static_cast<std::size_t>(b)])
+    walk_blocks(obj->data.size(), 0, obj->data.size(), next,
+                [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi) {
+                  if (block_crc(obj->data, lo, hi) !=
+                      obj->sums[static_cast<std::size_t>(b)])
                     ++mismatched;
                   return true;
                 });

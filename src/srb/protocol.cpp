@@ -30,9 +30,12 @@ namespace {
 constexpr std::size_t kMaxBodyPieces = 4;
 
 void send_framed(simnet::Socket& sock, ByteSpan head,
-                 std::initializer_list<ByteSpan> body, bool crc) {
+                 std::initializer_list<ByteSpan> body, bool crc,
+                 std::optional<std::uint32_t> tail_crc = std::nullopt) {
   if (body.size() > kMaxBodyPieces)
     throw std::invalid_argument("send_framed: too many body pieces");
+  if (tail_crc && body.size() == 0)
+    throw std::invalid_argument("send_framed: tail CRC without a body");
   std::array<ByteSpan, kMaxBodyPieces + 2> pieces;
   std::size_t count = 0;
   std::size_t len = head.size() + (crc ? 4 : 0);
@@ -46,11 +49,14 @@ void send_framed(simnet::Socket& sock, ByteSpan head,
   if (crc) sum.update(head);
   for (const ByteSpan& b : body) {
     pieces[count++] = b;
-    if (crc) sum.update(b);
+    const bool known = tail_crc && &b == body.end() - 1;
+    if (crc && !known) sum.update(b);
   }
   char trailer[4];
   if (crc) {
-    const std::uint32_t v = sum.value();
+    const std::uint32_t v =
+        tail_crc ? crc32c_combine(sum.value(), *tail_crc, body.end()[-1].size())
+                 : sum.value();
     std::memcpy(trailer, &v, 4);
     pieces[count++] = ByteSpan(trailer, 4);
   }
@@ -66,10 +72,11 @@ void send_request(simnet::Socket& sock, std::uint8_t op,
 }
 
 void send_reply(simnet::Socket& sock, std::int32_t status,
-                std::initializer_list<ByteSpan> body, bool crc) {
+                std::initializer_list<ByteSpan> body, bool crc,
+                std::optional<std::uint32_t> tail_crc) {
   char h[4];
   std::memcpy(h, &status, 4);
-  send_framed(sock, ByteSpan(h, 4), body, crc);
+  send_framed(sock, ByteSpan(h, 4), body, crc, tail_crc);
 }
 
 bool strip_frame_crc(FrameBuffer& frame) {

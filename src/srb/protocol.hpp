@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -122,14 +123,19 @@ constexpr std::uint64_t kListReadBytesPerExtent = 16;
 /// each body piece and the trailer: a body is never concatenated first.
 void send_request(simnet::Socket& sock, std::uint8_t op,
                   std::initializer_list<ByteSpan> body, bool crc);
-/// The reply frame, [len][status:i32][body...] (+[crc32c]), sent the same way.
+/// The reply frame, [len][status:i32][body...] (+[crc32c]), sent the same
+/// way. `tail_crc`, when given, is the CRC32C of the last body piece, which
+/// the caller already holds: the trailer combines it with the CRC of what
+/// precedes it (crc32c_combine) instead of hashing that piece.
 void send_reply(simnet::Socket& sock, std::int32_t status,
-                std::initializer_list<ByteSpan> body, bool crc);
+                std::initializer_list<ByteSpan> body, bool crc,
+                std::optional<std::uint32_t> tail_crc = std::nullopt);
 
 /// Verifies and strips the CRC32C trailer of a received frame in place.
 /// Returns false on mismatch (or a frame too short to carry the trailer);
-/// the caller decides the reaction (server: reply kChecksumMismatch and
-/// keep the session; client: throw a retryable integrity error).
+/// the caller decides the reaction. The broker session does the same check
+/// in pieces, sharing its pass over a write's payload with the store
+/// (SrbServer's check_frame), and SrbClient checks replies as they land.
 bool strip_frame_crc(FrameBuffer& frame);
 
 /// Receives a frame's length prefix; returns false on clean EOF before a

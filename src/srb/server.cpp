@@ -1,9 +1,13 @@
 #include "srb/server.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/extent.hpp"
 #include "common/log.hpp"
 
@@ -43,7 +47,8 @@ class SrbServer::Session {
     try {
       FrameBuffer frame;
       while (recv_frame(*sock_, frame)) {
-        if (crc_ && !strip_frame_crc(frame)) {
+        whole_sums_.clear();
+        if (crc_ && !check_frame(frame)) {
           // Request arrived corrupted. Framing held (the length prefix is
           // uncovered by design), so the stream is still in phase: report
           // the mismatch in rhythm and let the client re-send. Crucially
@@ -73,6 +78,72 @@ class SrbServer::Session {
     }
     sock_->close();
     done_.store(true, std::memory_order_release);
+  }
+
+  /// Where a write addressed to (fd, offset) lands: offset, or the fd's
+  /// file pointer when offset < 0 (0 for an unknown fd).
+  std::uint64_t write_at(std::int32_t fd, std::int64_t offset) const {
+    if (offset >= 0) return static_cast<std::uint64_t>(offset);
+    const auto it = fds_.find(fd);
+    return it != fds_.end() ? it->second.fp : 0;
+  }
+
+  /// strip_frame_crc with one pass over a write's payload shared with the
+  /// store: the payload is hashed in pieces cut where it meets the object's
+  /// 4 KiB blocks (ObjectStore::hash_blocks), and each whole block's CRC is
+  /// kept in whole_sums_ to become its at-rest sum. The cuts are read from
+  /// the head before it is verified. That is safe: any cuts combine to the
+  /// CRC of the whole frame, so a damaged head, payload or trailer fails
+  /// the check however it moved them, and no sum is used unless it passes.
+  bool check_frame(FrameBuffer& frame) {
+    if (frame.size() < 5) return false;  // head byte + trailer at minimum
+    const std::size_t content = frame.size() - 4;
+    const ByteSpan all(frame.data(), content);
+    std::uint32_t sum = 0;
+    std::size_t hashed = 0;  // all[0, hashed) is in sum
+    // Hashes all[hashed, piece) plainly, then the piece cut at the blocks
+    // it lands in. A piece whose end would overflow is left to be hashed
+    // plainly with what follows: its frame is rejected anyway.
+    const auto land = [&](ByteSpan piece, std::uint64_t at) {
+      if (at > UINT64_MAX - piece.size()) return;
+      const auto from = static_cast<std::size_t>(piece.data() - all.data());
+      sum = crc32c(all.subspan(hashed, from - hashed), sum);
+      sum = ObjectStore::hash_blocks(piece, at, sum, whole_sums_);
+      hashed = from + piece.size();
+    };
+    ByteReader r(all);
+    const auto op = static_cast<Op>(r.u8());
+    if (op == Op::kObjWrite) {
+      const std::int32_t fd = r.i32();
+      const std::int64_t offset = r.i64();
+      const ByteSpan data = r.blob_view();
+      if (r.ok()) land(data, write_at(fd, offset));
+    } else if (op == Op::kObjWriteList) {
+      (void)r.i32();  // fd
+      const std::uint32_t count = r.u32();
+      if (r.ok() && count <= kMaxListExtents &&
+          r.remaining() >= 12ull * count) {
+        ByteReader xr(r.rest());
+        r.skip(12ull * count);
+        ByteSpan data = r.rest();
+        for (std::uint32_t i = 0; i < count; ++i) {
+          const std::uint64_t at = xr.u64();
+          const std::uint32_t len = xr.u32();
+          if (len > data.size()) break;  // a short payload: kInvalid later
+          land(data.first(len), at);
+          data = data.subspan(len);
+        }
+      }
+    }
+    sum = crc32c(all.subspan(hashed), sum);
+    std::uint32_t wire;
+    std::memcpy(&wire, frame.data() + content, 4);
+    if (sum != wire) {
+      whole_sums_.clear();
+      return false;
+    }
+    frame.resize(content);
+    return true;
   }
 
   /// Maps a client-visible path into the tenant's carved-out namespace.
@@ -117,8 +188,10 @@ class SrbServer::Session {
     bool admitted_ = true;
   };
 
-  void reply(Status st, std::initializer_list<ByteSpan> body = {}) {
-    send_reply(*sock_, static_cast<std::int32_t>(st), body, crc_);
+  /// `tail_crc`: the last body piece's CRC32C, when already known.
+  void reply(Status st, std::initializer_list<ByteSpan> body = {},
+             std::optional<std::uint32_t> tail_crc = std::nullopt) {
+    send_reply(*sock_, static_cast<std::int32_t>(st), body, crc_, tail_crc);
   }
 
   bool dispatch(Op op, ByteReader& r) {
@@ -252,15 +325,18 @@ class SrbServer::Session {
     }
     const std::uint64_t at = offset >= 0 ? static_cast<std::uint64_t>(offset) : st.fp;
     // The store copies straight into the reply buffer, which the frame then
-    // carries as a piece: no body is assembled.
+    // carries as a piece: no body is assembled. With checksums on, the store
+    // also returns the bytes' CRC, composed from the block sums it verified,
+    // and the trailer is built from that instead of hashing the bytes again.
     out_.resize(len);
-    const std::size_t n =
-        server_.store_.pread(st.object, MutByteSpan(out_.data(), len), at);
+    std::uint32_t sum = 0;
+    const std::size_t n = server_.store_.pread(
+        st.object, MutByteSpan(out_.data(), len), at, crc_ ? &sum : nullptr);
     if (offset < 0) st.fp = at + n;
 
     head_.clear();
     ByteWriter(head_).u32(static_cast<std::uint32_t>(n));
-    reply(Status::kOk, {head_, ByteSpan(out_.data(), n)});
+    reply(Status::kOk, {head_, ByteSpan(out_.data(), n)}, sum);
     return true;
   }
 
@@ -285,7 +361,7 @@ class SrbServer::Session {
       reply(Status::kQuotaExceeded);
       return true;
     }
-    const std::uint64_t at = offset >= 0 ? static_cast<std::uint64_t>(offset) : st.fp;
+    const std::uint64_t at = write_at(fd, offset);  // where check_frame cut
     std::uint64_t reserved = 0;
     if (tenant_ != nullptr) {
       // Reserve the prospective growth up front (racy size estimate keeps
@@ -298,7 +374,8 @@ class SrbServer::Session {
         return true;
       }
     }
-    const std::uint64_t growth = server_.store_.pwrite(st.object, data, at);
+    const std::uint64_t growth =
+        server_.store_.pwrite(st.object, data, at, whole_sums_);
     if (tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));
@@ -333,7 +410,8 @@ class SrbServer::Session {
       return false;
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].len == 0 || (i > 0 && out[i].offset < watermark)) {
+      if (out[i].len == 0 || out[i].offset > UINT64_MAX - out[i].len ||
+          (i > 0 && out[i].offset < watermark)) {
         reply(Status::kInvalid);
         return false;
       }
@@ -376,8 +454,11 @@ class SrbServer::Session {
     // every extent under one lock, so only the extent EOF cuts is short and
     // the ones after it are empty.
     out_.resize(static_cast<std::size_t>(sum));
-    const std::size_t n = server_.store_.preadv(
-        st.object, extents_, MutByteSpan(out_.data(), out_.size()));
+    std::uint32_t crc = 0;
+    const std::size_t n =
+        server_.store_.preadv(st.object, extents_,
+                              MutByteSpan(out_.data(), out_.size()),
+                              crc_ ? &crc : nullptr);
     head_.clear();
     ByteWriter w(head_);
     w.u32(count);
@@ -388,7 +469,7 @@ class SrbServer::Session {
       w.u32(static_cast<std::uint32_t>(got));
       left -= got;
     }
-    reply(Status::kOk, {head_, ByteSpan(out_.data(), n)});
+    reply(Status::kOk, {head_, ByteSpan(out_.data(), n)}, crc);
     return true;
   }
 
@@ -437,7 +518,7 @@ class SrbServer::Session {
       }
     }
     const std::uint64_t growth =
-        server_.store_.pwritev(st.object, extents_, data);
+        server_.store_.pwritev(st.object, extents_, data, whole_sums_);
     if (tenant_ != nullptr)
       tenant_->adjust_bytes(static_cast<std::int64_t>(growth) -
                             static_cast<std::int64_t>(reserved));
@@ -591,10 +672,13 @@ class SrbServer::Session {
   std::string prefix_;  // "/tenants/<name>" namespace carve-out, or empty
   bool crc_ = false;    // per-frame CRC32C, negotiated at kConnect
   // Reused across requests: a read reply's store bytes, the fixed reply
-  // head sent in front of them, and a list verb's parsed extents.
+  // head sent in front of them, a list verb's parsed extents, and the
+  // checked write frame's whole-block CRCs (check_frame; empty when the
+  // session runs without checksums, so the store hashes every block).
   FrameBuffer out_;
   Bytes head_;
   std::vector<Extent> extents_;
+  std::vector<std::uint32_t> whole_sums_;
 };
 
 // ---------------------------------------------------------------------------

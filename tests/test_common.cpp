@@ -422,5 +422,43 @@ TEST(Crc32c, MatchesBitwiseReferenceAcrossLaneBoundaries) {
   }
 }
 
+TEST(Crc32c, CombineMatchesHashingTheConcatenation) {
+  // len_b on both sides of the kernel's switches, of the 4 KiB block, and
+  // one long enough to use a high bit of the power table.
+  const std::size_t lengths[] = {0,    1,    7,     8,     255,   256,  767,
+                                 768,  4095, 4096,  4097,  24575, 24576,
+                                 (1u << 20) + 3u};
+  for (const std::uint32_t seed : {1u, 0x5eedu, 0xc0ffeeu}) {
+    Rng rng(seed);
+    const Bytes a = rng.bytes(1 + rng.below(5000));
+    const Bytes b = rng.bytes((1u << 20) + 3u);
+    const std::uint32_t crc_a = crc32c(ByteSpan(a.data(), a.size()));
+    for (const std::size_t n : lengths) {
+      const ByteSpan tail(b.data(), n);
+      ASSERT_EQ(crc32c_combine(crc_a, crc32c(tail), n), crc32c(tail, crc_a))
+          << "len_b " << n << " seed " << seed;
+    }
+    // An empty A: combining onto 0 is hashing B alone.
+    ASSERT_EQ(crc32c_combine(0, crc32c(ByteSpan(b.data(), 4096)), 4096),
+              crc32c(ByteSpan(b.data(), 4096)));
+  }
+}
+
+TEST(Crc32c, FourKiBTableStepEqualsGenericCombine) {
+  Rng rng(0x4b10c);
+  for (int i = 0; i < 1000; ++i) {
+    const auto a = static_cast<std::uint32_t>(rng.next());
+    const auto b = static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(crc32c_combine_4k(a, b), crc32c_combine(a, b, 4096)) << i;
+  }
+  // Folding whole blocks one table step at a time rebuilds a long CRC.
+  const Bytes data = rng.bytes(16 * 4096);
+  std::uint32_t folded = crc32c(to_bytes("head"));
+  const std::uint32_t want = crc32c(ByteSpan(data.data(), data.size()), folded);
+  for (std::size_t off = 0; off < data.size(); off += 4096)
+    folded = crc32c_combine_4k(folded, crc32c(ByteSpan(data.data() + off, 4096)));
+  EXPECT_EQ(folded, want);
+}
+
 }  // namespace
 }  // namespace remio

@@ -9,6 +9,8 @@
 // (request heads, reply decode, the broker's frame and reply buffers) is
 // reused, so a warmed-up transfer allocates its own size once, plus the
 // frame headers and the small request/reply frames: at most 1.05 B per B.
+// A SemplarFile hull read lands its hull in a buffer its thread reuses, so
+// it is held to the same budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include <new>
 
 #include "common/extent.hpp"
+#include "core/srbfs.hpp"
 #include "simnet/fabric.hpp"
 #include "srb/client.hpp"
 #include "srb/server.hpp"
@@ -178,6 +181,34 @@ TEST_F(CopyBudgetTest, ListVerbsAllocateOnlyThePipeChunk) {
   });
   EXPECT_EQ(back_, data_);
   EXPECT_LE(write, kBudget);
+  EXPECT_LE(read, kBudget);
+}
+
+TEST_F(CopyBudgetTest, HullReadvAllocatesOnlyThePipeChunk) {
+  // 64 extents of 8 KiB - 16 B every 8 KiB: holes of 16 B per extent, so
+  // SemplarFile::readv fetches the 512 KiB hull in one read and scatters it.
+  semplar::Config cfg;
+  cfg.client_host = "node0";
+  cfg.conn.tcp_window = 0;
+  semplar::SemplarFile f(fabric_, cfg, "/budget-hull",
+                         mpiio::kModeRead | mpiio::kModeWrite |
+                             mpiio::kModeCreate);
+  ASSERT_EQ(f.write_at(0, ByteSpan(data_.data(), kBulk)), kBulk);
+  ExtentList dense;
+  for (std::size_t i = 0; i < kExtents; ++i)
+    dense.push_back({i * kExtentLen, kExtentLen - 16});
+  const std::size_t packed = kExtents * (kExtentLen - 16);
+  const double read = heap_bytes_per_byte("hull readv 512 KiB", packed, [&] {
+    ASSERT_EQ(f.readv(dense, MutByteSpan(back_.data(), packed)), packed);
+  });
+  for (std::size_t i = 0; i < kExtents; ++i)
+    ASSERT_TRUE(std::equal(data_.begin() + static_cast<std::ptrdiff_t>(
+                                               i * kExtentLen),
+                           data_.begin() + static_cast<std::ptrdiff_t>(
+                                               (i + 1) * kExtentLen - 16),
+                           back_.begin() + static_cast<std::ptrdiff_t>(
+                                               i * (kExtentLen - 16))))
+        << "extent " << i;
   EXPECT_LE(read, kBudget);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -269,6 +270,23 @@ TEST_F(ListVerbFuzzTest, ZeroLengthExtentRejectedKeepsSession) {
           list_header(fd, static_cast<std::uint32_t>(ext.size()), ext);
       EXPECT_EQ(roundtrip(*sock, op, body), Status::kInvalid);
     }
+  }
+  expect_session_alive(*sock, fd);
+  expect_server_alive();
+}
+
+TEST_F(ListVerbFuzzTest, WrappingExtentRejectedKeepsSession) {
+  // offset + len past 2^64 would wrap to a small end: the store would size
+  // the object by the wrapped end and copy to offset, far outside it.
+  auto sock = raw_connect();
+  const std::int32_t fd = raw_open(*sock, "/lv/wrap");
+  for (const auto op : {Op::kObjReadList, Op::kObjWriteList}) {
+    Bytes body = list_header(fd, 1, {{UINT64_MAX - 10, 100}});
+    if (op == Op::kObjWriteList) {
+      const Bytes junk(100, 'w');
+      ByteWriter(body).raw(ByteSpan(junk.data(), junk.size()));
+    }
+    EXPECT_EQ(roundtrip(*sock, op, body), Status::kInvalid);
   }
   expect_session_alive(*sock, fd);
   expect_server_alive();
@@ -567,6 +585,174 @@ TEST_F(CorruptionFuzzTest, MultiBitRandomMutationsNeverLandData) {
   ASSERT_EQ(crc_roundtrip(*sock, Op::kObjRead, body, &resp), Status::kOk);
   ByteReader r(ByteSpan(resp.data(), resp.size()));
   EXPECT_EQ(r.blob(), baseline);
+  expect_server_alive();
+}
+
+// ---------------------------------------------------------------------------
+// The broker checks a write frame in pieces cut where its payload meets the
+// object's 4 KiB blocks, reading the cuts from the head before it is
+// verified, and keeps each whole block's piece CRC as its at-rest sum. So
+// flips are aimed at what decides the cuts ([op | fd | offset | blob length]
+// or the extent list), at both sides of every cut, at the trailer and at
+// seeded payload bits. Every flip must be answered kChecksumMismatch in
+// rhythm, and neither the stored bytes nor scrub's counts may move.
+// ---------------------------------------------------------------------------
+
+class CutPathCorruptionTest : public CorruptionFuzzTest {
+ protected:
+  static constexpr std::uint64_t kBlock = 4096;
+
+  /// Frame positions where the payload, which starts at `payload_at` and
+  /// holds `extents` back to back, is cut: its start, each block boundary
+  /// inside an extent, and each extent's end.
+  static std::vector<std::size_t> cuts_of(std::size_t payload_at,
+                                          const ExtentList& extents) {
+    std::vector<std::size_t> cuts{payload_at};
+    std::size_t pos = payload_at;
+    for (const Extent& x : extents) {
+      for (std::uint64_t b = (x.offset / kBlock + 1) * kBlock; b < x.end();
+           b += kBlock)
+        cuts.push_back(pos + static_cast<std::size_t>(b - x.offset));
+      pos += static_cast<std::size_t>(x.len);
+      cuts.push_back(pos);
+    }
+    return cuts;
+  }
+
+  /// The content bits to flip: every bit of the head before the payload
+  /// and of the trailer, every bit within 16 bytes of a cut, and
+  /// `random_bits` seeded payload bits.
+  static std::set<std::size_t> aimed_bits(const Bytes& frame,
+                                          std::size_t payload_at,
+                                          const ExtentList& extents,
+                                          std::uint64_t seed,
+                                          std::size_t random_bits) {
+    std::set<std::size_t> bits;
+    const auto add_bytes = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = std::max<std::size_t>(lo, 4);
+           i < std::min(hi, frame.size()); ++i)
+        for (std::size_t k = 0; k < 8; ++k) bits.insert(i * 8 + k);
+    };
+    add_bytes(4, payload_at);
+    add_bytes(frame.size() - 4, frame.size());
+    for (const std::size_t c : cuts_of(payload_at, extents))
+      add_bytes(c >= 16 ? c - 16 : 0, c + 16);
+    Rng rng(seed);
+    const std::size_t payload_bits = (frame.size() - 4 - payload_at) * 8;
+    for (std::size_t i = 0; i < random_bits; ++i)
+      bits.insert(payload_at * 8 + rng.below(payload_bits));
+    return bits;
+  }
+
+  /// Sends `pristine` once per bit with that bit flipped; each must be
+  /// answered kChecksumMismatch in rhythm. Returns the flips sent.
+  std::size_t expect_flips_rejected(simnet::Socket& sock, const Bytes& pristine,
+                                    const std::set<std::size_t>& bits) {
+    Bytes mutated = pristine;
+    for (const std::size_t bit : bits) {
+      const char mask = static_cast<char>(1u << (bit % 8));
+      mutated[bit / 8] ^= mask;
+      sock.send_all(ByteSpan(mutated.data(), mutated.size()));
+      mutated[bit / 8] ^= mask;
+      FrameBuffer frame;
+      EXPECT_TRUE(recv_frame(sock, frame)) << "session died at bit " << bit;
+      EXPECT_TRUE(strip_frame_crc(frame));
+      ByteReader r(ByteSpan(frame.data(), frame.size()));
+      const auto st = static_cast<Status>(r.i32());
+      EXPECT_EQ(st, Status::kChecksumMismatch) << "bit " << bit;
+      if (st != Status::kChecksumMismatch) break;
+    }
+    return bits.size();
+  }
+
+  /// The object's bytes [0, n) through a checksummed read on `sock`.
+  Bytes read_back(simnet::Socket& sock, std::int32_t fd, std::uint32_t n) {
+    Bytes body;
+    ByteWriter w(body);
+    w.i32(fd);
+    w.i64(0);
+    w.u32(n);
+    Bytes resp;
+    EXPECT_EQ(crc_roundtrip(sock, Op::kObjRead, body, &resp), Status::kOk);
+    ByteReader r(ByteSpan(resp.data(), resp.size()));
+    return r.blob();
+  }
+
+  static void expect_same_scrub(const ScrubReport& a, const ScrubReport& b) {
+    EXPECT_EQ(a.objects, b.objects);
+    EXPECT_EQ(a.blocks, b.blocks);
+    EXPECT_EQ(a.mismatched, 0u);
+    EXPECT_EQ(b.mismatched, 0u);
+    EXPECT_EQ(b.quarantined, 0u);
+    EXPECT_EQ(b.healed, 0u);
+  }
+};
+
+TEST_F(CutPathCorruptionTest, WriteFrameFlipsAtEveryCutAreRejected) {
+  auto sock = raw_connect();
+  ASSERT_TRUE(raw_connect_crc(*sock));
+  const std::int32_t fd = crc_open(*sock, "/fuzz/cut-write");
+  // [4000, 4000 + 3 * 4 KiB + 200): a partial head block, whole blocks 1-3
+  // and a partial tail block.
+  const ExtentList where = {{4000, 3 * kBlock + 200}};
+  const Bytes baseline(static_cast<std::size_t>(where[0].len), 'B');
+  ASSERT_EQ(crc_roundtrip(*sock, Op::kObjWrite,
+                          write_body(fd, where[0].offset, baseline)),
+            Status::kOk);
+  const auto size = static_cast<std::uint32_t>(where[0].end());
+  const Bytes before = read_back(*sock, fd, size);
+  const ScrubReport scrub_before = server_->store().scrub();
+
+  Rng rng(0xc07c07u);
+  const Bytes evil = rng.bytes(baseline.size());
+  const Bytes pristine =
+      build_crc_frame(Op::kObjWrite, write_body(fd, where[0].offset, evil));
+  // [len:4][op:1][fd:4][offset:8][blob length:4], then the payload.
+  const std::size_t sent = expect_flips_rejected(
+      *sock, pristine, aimed_bits(pristine, 21, where, 0xb175u, 600));
+  EXPECT_GT(sent, 136u + 32u + 500u);
+
+  EXPECT_EQ(read_back(*sock, fd, size), before);
+  expect_same_scrub(scrub_before, server_->store().scrub());
+  expect_server_alive();
+}
+
+TEST_F(CutPathCorruptionTest, WriteListFlipsAtEveryCutAreRejected) {
+  auto sock = raw_connect();
+  ASSERT_TRUE(raw_connect_crc(*sock));
+  const std::int32_t fd = crc_open(*sock, "/fuzz/cut-list");
+  // Extents 1 and 2 share block 1, extents 2 and 3 share block 3, and
+  // extent 2 covers block 2 whole.
+  const ExtentList where = {{4000, 300}, {4400, 8000}, {12500, 3000}};
+  const auto list_body = [&](const Bytes& payload) {
+    Bytes body;
+    ByteWriter w(body);
+    w.i32(fd);
+    w.u32(static_cast<std::uint32_t>(where.size()));
+    for (const Extent& x : where) {
+      w.u64(x.offset);
+      w.u32(static_cast<std::uint32_t>(x.len));
+    }
+    w.raw(ByteSpan(payload.data(), payload.size()));
+    return body;
+  };
+  const Bytes baseline(11300, 'B');
+  ASSERT_EQ(crc_roundtrip(*sock, Op::kObjWriteList, list_body(baseline)),
+            Status::kOk);
+  const auto size = static_cast<std::uint32_t>(where.back().end());
+  const Bytes before = read_back(*sock, fd, size);
+  const ScrubReport scrub_before = server_->store().scrub();
+
+  Rng rng(0x115c07u);
+  const Bytes evil = rng.bytes(baseline.size());
+  const Bytes pristine = build_crc_frame(Op::kObjWriteList, list_body(evil));
+  // [len:4][op:1][fd:4][count:4][3 x (offset:8 len:4)], then the payload.
+  const std::size_t sent = expect_flips_rejected(
+      *sock, pristine, aimed_bits(pristine, 49, where, 0x1157u, 600));
+  EXPECT_GT(sent, 360u + 32u + 500u);
+
+  EXPECT_EQ(read_back(*sock, fd, size), before);
+  expect_same_scrub(scrub_before, server_->store().scrub());
   expect_server_alive();
 }
 

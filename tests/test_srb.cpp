@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "simnet/faults.hpp"
 #include "simnet/timescale.hpp"
@@ -501,6 +502,68 @@ TEST(ObjectStore, ScrubQuarantinesAndHeals) {
   EXPECT_EQ(store.pread(2, MutByteSpan(back.data(), back.size()), 0), 16u);
 }
 
+TEST(ObjectStore, WholeBlockSumsComeFromTheSentBytes) {
+  // A write's whole-block sums are taken from the bytes the sender meant,
+  // before the store copies them in. So a bit the copy damages no longer
+  // gets a fresh, matching sum: the next read and the next scrub see it.
+  constexpr std::size_t kBlock = 4096;
+  ObjectStore store;
+  store.create(1);
+  Rng rng(31);
+  // [4000, 4000 + 3 * 4096 + 200): a partial head block, whole blocks 1-3
+  // and a partial tail block.
+  const Bytes intended = rng.bytes(3 * kBlock + 200);
+  std::vector<std::uint32_t> whole;
+  const std::uint32_t crc = ObjectStore::hash_blocks(
+      ByteSpan(intended.data(), intended.size()), 4000, 0, whole);
+  ASSERT_EQ(crc, crc32c(ByteSpan(intended.data(), intended.size())));
+  ASSERT_EQ(whole.size(), 3u);
+  Bytes damaged = intended;
+  damaged[kBlock + 500] ^= 0x10;  // object byte 8596: whole block 2
+  store.pwrite(1, ByteSpan(damaged.data(), damaged.size()), 4000, whole);
+
+  Bytes back(damaged.size() + 4000);
+  try {
+    store.pread(1, MutByteSpan(back.data(), back.size()), 0);
+    FAIL() << "a byte damaged after its sum was taken went undetected";
+  } catch (const IntegrityError& e) {
+    EXPECT_TRUE(e.retryable());
+    EXPECT_FALSE(e.quarantined());
+    EXPECT_NE(std::string(e.what()).find("block 2"), std::string::npos)
+        << e.what();
+  }
+  const ScrubReport rep = store.scrub();
+  EXPECT_EQ(rep.blocks, 5u);
+  EXPECT_EQ(rep.mismatched, 1u);
+}
+
+TEST(ObjectStore, ComposedReadCrcMatchesTheBytesRead) {
+  // The CRC a read returns is folded from the verified block sums; it must
+  // equal hashing what was read, at every alignment, for list reads whose
+  // extents share blocks, and for reads EOF cuts short.
+  ObjectStore store;
+  store.create(1);
+  Rng rng(32);
+  const Bytes model = rng.bytes(10000);  // blocks 0-1 whole, block 2 short
+  store.pwrite(1, ByteSpan(model.data(), model.size()), 0);
+  Bytes out(9000);
+  for (const std::uint64_t at : {0u, 1u, 4095u, 4096u, 4097u, 9999u, 12000u}) {
+    for (const std::size_t len : {1u, 4095u, 4096u, 8193u}) {
+      std::uint32_t crc = 1;
+      const std::size_t n =
+          store.pread(1, MutByteSpan(out.data(), len), at, &crc);
+      ASSERT_EQ(crc, crc32c(ByteSpan(out.data(), n)))
+          << "offset " << at << " length " << len;
+    }
+  }
+  const ExtentList shared = {{10, 100}, {200, 3000}, {3300, 5000}, {9990, 100}};
+  std::uint32_t crc = 1;
+  const std::size_t n =
+      store.preadv(1, shared, MutByteSpan(out.data(), 8200), &crc);
+  EXPECT_EQ(n, 100u + 3000u + 5000u + 10u);
+  EXPECT_EQ(crc, crc32c(ByteSpan(out.data(), n)));
+}
+
 // --- wire checksums: request, grant and the off switch -----------------------
 
 TEST_F(SrbTest, WireChecksumsNegotiatedByDefault) {
@@ -533,6 +596,61 @@ TEST_F(SrbTest, OldClientAgainstNewServerInterops) {
             data.size());
   EXPECT_EQ(back, data);
   old_c->close(fd);
+}
+
+TEST_F(SrbTest, ComposedReplyTrailersVerifyAtEveryAlignment) {
+  // A checksummed read's trailer is composed from the store's verified
+  // block sums, not from hashing the reply. Every alignment of offset and
+  // length against the 4 KiB blocks, reads EOF cuts short, and a list read
+  // whose extents share blocks must verify at the client and return the
+  // stored bytes; the unchecksummed session reads the same bytes.
+  auto c = make_client();
+  auto plain = std::make_unique<SrbClient>(
+      fabric_, "node0", "orion", 5544, simnet::ConnectOptions{}, "plain", "",
+      /*wire_checksums=*/false);
+  const auto fd = c->open("/crc/compose", kRead | kWrite | kCreate);
+  const auto pfd = plain->open("/crc/compose", kRead);
+  Rng rng(33);
+  const Bytes model = rng.bytes(10000);  // blocks 0-1 whole, block 2 short
+  ASSERT_EQ(c->pwrite(fd, ByteSpan(model.data(), model.size()), 0),
+            model.size());
+  Bytes back(8193);
+  for (const std::uint64_t at : {0u, 1u, 4095u, 4096u, 4097u, 9000u, 10000u}) {
+    for (const std::size_t len : {1u, 4095u, 4096u, 8193u}) {
+      const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
+          len, at < model.size() ? model.size() - at : 0));
+      for (SrbClient* cl : {c.get(), plain.get()}) {
+        const std::size_t n = cl->pread(cl == c.get() ? fd : pfd,
+                                        MutByteSpan(back.data(), len), at);
+        ASSERT_EQ(n, want) << "offset " << at << " length " << len;
+        ASSERT_TRUE(std::equal(back.begin(),
+                               back.begin() + static_cast<std::ptrdiff_t>(n),
+                               model.begin() + static_cast<std::ptrdiff_t>(
+                                                   std::min<std::uint64_t>(
+                                                       at, model.size()))))
+            << "offset " << at << " length " << len;
+      }
+    }
+  }
+  // Extents 1-3 share block 0, extent 3 covers block 1 whole, and EOF cuts
+  // the last one to 10 bytes.
+  const ExtentList shared = {{10, 100}, {200, 3000}, {3300, 5000}, {9990, 100}};
+  Bytes packed(8200);
+  ASSERT_EQ(c->preadv(fd, shared, MutByteSpan(packed.data(), packed.size())),
+            8110u);
+  std::size_t at = 0;
+  for (const Extent& x : shared) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(x.len, model.size() - x.offset));
+    ASSERT_TRUE(std::equal(
+        packed.begin() + static_cast<std::ptrdiff_t>(at),
+        packed.begin() + static_cast<std::ptrdiff_t>(at + n),
+        model.begin() + static_cast<std::ptrdiff_t>(x.offset)));
+    at += n;
+  }
+  EXPECT_EQ(c->crc_failures(), 0u);
+  plain->close(pfd);
+  c->close(fd);
 }
 
 TEST_F(SrbTest, MissingChecksumGrantFailsTheDialRetryably) {
